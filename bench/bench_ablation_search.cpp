@@ -9,7 +9,9 @@
 //  (3) Planning margin: end-to-end energy/time as the safety margin on
 //      the ideal time T sweeps from 0 (the paper's exact formula) up.
 //  (4) Production scale: plan latency per searcher on seeded r=16 /
-//      k=256 tables — the regime the pruned/DP search exists for.
+//      k=256 tables — the regime the pruned/DP search exists for — next
+//      to the CCTable::build time of the same tables, so work moved
+//      between the build and the search stays visible.
 //      Writes BENCH_search.json (validated with the in-repo json_lite
 //      parser before the process exits) and, under --budget-us, fails
 //      the run when the pruned median exceeds the budget so CI can gate
@@ -144,6 +146,10 @@ struct ScaleConfig {
 /// heavy-tailed class mix (a few dominant classes, a long tail of light
 /// ones — the shape SlidingProfile hands the service-mode planner), with
 /// T picked so the table is tight but feasible at F0.
+dvfs::FrequencyLadder scale_ladder(const ScaleConfig& cfg) {
+  return dvfs::FrequencyLadder::linear(0.8, 3.2, cfg.rungs);
+}
+
 core::CCTable make_scale_table(const ScaleConfig& cfg, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   std::vector<core::ClassProfile> classes(cfg.classes);
@@ -164,8 +170,27 @@ core::CCTable make_scale_table(const ScaleConfig& cfg, std::uint64_t seed) {
   });
   const double util = rng.uniform(0.55, 0.85);
   const double T = total_work / (static_cast<double>(cfg.cores) * util);
-  const auto ladder = dvfs::FrequencyLadder::linear(0.8, 3.2, cfg.rungs);
-  return core::CCTable::build(std::move(classes), ladder, T);
+  return core::CCTable::build(std::move(classes), scale_ladder(cfg), T);
+}
+
+/// Per-table CCTable::build latency: each table rebuilt from its own
+/// class metadata and T, `reps` times (the metadata copy is untimed).
+util::Summary build_latency(const ScaleConfig& cfg,
+                            const std::vector<core::CCTable>& tables) {
+  const auto ladder = scale_ladder(cfg);
+  std::vector<double> us;
+  for (const auto& cc : tables) {
+    for (std::size_t rep = 0; rep < cfg.reps; ++rep) {
+      auto classes = cc.classes();
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto rebuilt =
+          core::CCTable::build(std::move(classes), ladder, cc.ideal_time_s());
+      const auto t1 = std::chrono::steady_clock::now();
+      us.push_back(
+          std::chrono::duration<double, std::micro>(t1 - t0).count());
+    }
+  }
+  return util::summarize(us);
 }
 
 struct ScaleRow {
@@ -207,6 +232,7 @@ int scale_sweep(const ScaleConfig& cfg) {
   for (std::size_t t = 0; t < cfg.tables; ++t) {
     tables.push_back(make_scale_table(cfg, 0x5eedULL + t));
   }
+  const util::Summary build_us = build_latency(cfg, tables);
   // Per-table pruned energy, the quality baseline for the ratio column.
   std::vector<double> pruned_energy(cfg.tables, 0.0);
 
@@ -273,6 +299,11 @@ int scale_sweep(const ScaleConfig& cfg) {
 
   util::TablePrinter table({"search", "median (us)", "p95 (us)", "max (us)",
                             "found", "mean nodes", "energy vs pruned"});
+  // The table build every search starts from, for the build/search split.
+  table.add("(CCTable::build)", util::TablePrinter::fixed(build_us.median, 1),
+            util::TablePrinter::fixed(build_us.p95, 1),
+            util::TablePrinter::fixed(build_us.max, 1), std::string("-"),
+            std::string("-"), std::string("-"));
   for (const auto& row : rows) {
     table.add(row.search, util::TablePrinter::fixed(row.us.median, 1),
               util::TablePrinter::fixed(row.us.p95, 1),
@@ -294,6 +325,9 @@ int scale_sweep(const ScaleConfig& cfg) {
      << "  \"tables\": " << cfg.tables << ",\n"
      << "  \"reps\": " << cfg.reps << ",\n"
      << "  \"budget_us\": " << cfg.budget_us << ",\n"
+     << "  \"cc_build\": {\"median_us\": " << build_us.median
+     << ", \"p95_us\": " << build_us.p95 << ", \"max_us\": " << build_us.max
+     << "},\n"
      << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
@@ -312,6 +346,7 @@ int scale_sweep(const ScaleConfig& cfg) {
     if (doc.at("results").array.size() != rows.size()) {
       throw std::runtime_error("result rows went missing");
     }
+    (void)doc.at("cc_build").at("median_us");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s failed validation: %s\n", cfg.out.c_str(),
                  e.what());

@@ -17,6 +17,24 @@ Adjuster::Adjuster(dvfs::FrequencyLadder ladder, std::size_t total_cores,
     throw std::invalid_argument(
         "Adjuster: topology core count does not match total_cores");
   }
+  // The search prices rung j with model->core_power_w(j): a model over a
+  // different ladder would first fail, out of range, mid-plan.
+  if (options_.model != nullptr &&
+      options_.model->ladder().size() != ladder_.size()) {
+    throw std::invalid_argument(
+        "Adjuster: power model ladder size does not match the ladder");
+  }
+}
+
+CCTable Adjuster::build_cc(std::vector<ClassProfile> classes,
+                           double ideal_time_s) const {
+  const double margin = std::clamp(options_.time_margin, 0.0, 0.9);
+  const double target_s = ideal_time_s * (1.0 - margin);
+  return options_.topology != nullptr
+             ? CCTable::build_typed(std::move(classes), *options_.topology,
+                                    target_s, options_.memory_aware)
+             : CCTable::build(std::move(classes), ladder_, target_s,
+                              options_.memory_aware);
 }
 
 Adjustment Adjuster::adjust(std::vector<ClassProfile> classes,
@@ -28,14 +46,7 @@ Adjustment Adjuster::adjust(std::vector<ClassProfile> classes,
     return out;
   }
   out.attempted = true;
-  const double margin = std::clamp(options_.time_margin, 0.0, 0.9);
-  out.cc = options_.topology != nullptr
-               ? CCTable::build_typed(std::move(classes), *options_.topology,
-                                      ideal_time_s * (1.0 - margin),
-                                      options_.memory_aware)
-               : CCTable::build(std::move(classes), ladder_,
-                                ideal_time_s * (1.0 - margin),
-                                options_.memory_aware);
+  out.cc = build_cc(std::move(classes), ideal_time_s);
   out.search =
       search_ktuple(out.cc, total_cores_, options_.search, options_.model);
   out.plan = make_frequency_plan(out.cc, out.search, total_cores_, ladder_,
@@ -53,14 +64,7 @@ Adjustment Adjuster::adjust_incremental(
     return out;
   }
   out.attempted = true;
-  const double margin = std::clamp(options_.time_margin, 0.0, 0.9);
-  out.cc = options_.topology != nullptr
-               ? CCTable::build_typed(std::move(classes), *options_.topology,
-                                      ideal_time_s * (1.0 - margin),
-                                      options_.memory_aware)
-               : CCTable::build(std::move(classes), ladder_,
-                                ideal_time_s * (1.0 - margin),
-                                options_.memory_aware);
+  out.cc = build_cc(std::move(classes), ideal_time_s);
   if (!prefix_rungs.empty() && prefix_rungs.size() <= out.cc.cols()) {
     out.search = search_suffix(out.cc, total_cores_, options_.search,
                                prefix_rungs, options_.model);

@@ -20,7 +20,8 @@ namespace eewa::core {
 struct AdjusterOptions {
   SearchKind search = SearchKind::kBacktracking;
   LeftoverPolicy leftover = LeftoverPolicy::kParkAtSlowest;
-  /// Optional power model for the exhaustive search objective.
+  /// Optional power model for the search objective. Its ladder must
+  /// have as many rungs as the adjuster's (checked at construction).
   const energy::PowerModel* model = nullptr;
   /// Plan against T·(1 - time_margin): slack for the inter-batch
   /// workload drift the paper acknowledges (§II-A). 0 = plan with no
@@ -54,6 +55,9 @@ struct Adjustment {
 /// Stateless adjuster: pure function of the iteration profile.
 class Adjuster {
  public:
+  /// Throws std::invalid_argument for zero cores, a topology whose core
+  /// count differs from total_cores, or a model whose ladder size
+  /// differs from `ladder`'s.
   Adjuster(dvfs::FrequencyLadder ladder, std::size_t total_cores,
            AdjusterOptions options = {});
 
@@ -85,6 +89,11 @@ class Adjuster {
   const AdjusterOptions& options() const { return options_; }
 
  private:
+  /// The CC table both pipelines plan from: the profile against
+  /// T·(1 - time_margin), typed when a topology is set.
+  CCTable build_cc(std::vector<ClassProfile> classes,
+                   double ideal_time_s) const;
+
   dvfs::FrequencyLadder ladder_;
   std::size_t total_cores_;
   AdjusterOptions options_;

@@ -13,7 +13,13 @@ CCTable::CCTable(std::size_t r, std::size_t k, std::vector<double> data,
       k_(k),
       data_(std::move(data)),
       classes_(std::move(classes)),
-      ideal_time_s_(ideal_time_s) {}
+      ideal_time_s_(ideal_time_s) {
+  derive_cells();
+}
+
+void CCTable::throw_out_of_range() {
+  throw std::out_of_range("CCTable: index out of range");
+}
 
 CCTable CCTable::build(std::vector<ClassProfile> classes,
                        const dvfs::FrequencyLadder& ladder,
@@ -113,13 +119,6 @@ CCTable CCTable::from_matrix(std::vector<std::vector<double>> rows,
   return CCTable(r, k, std::move(data), std::move(classes), 0.0);
 }
 
-double CCTable::at(std::size_t j, std::size_t i) const {
-  if (j >= r_ || i >= k_) {
-    throw std::out_of_range("CCTable: index out of range");
-  }
-  return data_[j * k_ + i];
-}
-
 std::size_t CCTable::ceil_at(std::size_t j, std::size_t i) const {
   const double v = at(j, i);
   if (v <= 0.0) return 0;
@@ -127,42 +126,67 @@ std::size_t CCTable::ceil_at(std::size_t j, std::size_t i) const {
   return c == 0 ? 1 : c;
 }
 
-bool CCTable::rung_feasible(std::size_t j, std::size_t i) const {
-  if (j == 0) return true;  // F0 cannot be beaten; never reject it
-  if (ideal_time_s_ <= 0.0) return true;  // bare matrix: no timing info
-  const ClassProfile& c = classes_.at(i);
-  if (at(0, i) <= 0.0) return true;
-  // Guard on the larger of the observed max and the mean. Profiles with
-  // missing max metadata (max == 0) — or a cumulative mean above the
-  // per-iteration max — must not admit rungs where demand() finds that
-  // even a mean-sized task misses T: for j > 0 the two predicates have
-  // to agree, or exhaustive search ranks tuples by the rounds < 1
-  // fallback demand of rungs this function was supposed to reject.
-  const double critical = std::max(c.max_workload, c.mean_workload);
-  if (critical <= 0.0) return true;
-  const double slowdown = at(j, i) / at(0, i);  // = effective F0/Fj
-  return critical * slowdown <= ideal_time_s_ * (1.0 + 1e-9);
-}
-
-double CCTable::demand(std::size_t j, std::size_t i) const {
-  const double base = at(j, i);
-  if (ideal_time_s_ <= 0.0) return base;
-  const ClassProfile& c = classes_.at(i);
-  if (c.count == 0 || c.mean_workload <= 0.0 || at(0, i) <= 0.0) {
-    return base;
+void CCTable::derive_cells() {
+  // Plain locals throughout: the char stores into feasible_ may alias
+  // anything, which would otherwise force the members to be reloaded
+  // on every cell.
+  const std::size_t r = r_;
+  const std::size_t k = k_;
+  const double ideal = ideal_time_s_;
+  demand_.resize(r * k);
+  feasible_.resize(r * k);
+  proxy_slowdown_.assign(r, 0.0);
+  const double* const cc = data_.data();
+  double* const demand = demand_.data();
+  char* const feasible = feasible_.data();
+  double* const proxy = proxy_slowdown_.data();
+  const bool timed = ideal > 0.0;  // bare matrices carry no T
+  const double t_limit = ideal * (1.0 + 1e-9);
+  for (std::size_t i = 0; i < k; ++i) {
+    const ClassProfile& c = classes_[i];
+    const double mean = c.mean_workload;
+    const double c0 = cc[i];
+    // The rung guard checks the larger of the observed max and the
+    // mean. Profiles with missing max metadata (max == 0) — or a
+    // cumulative mean above the per-iteration max — must not admit rungs
+    // where the demand below finds that even a mean-sized task misses
+    // T: for j > 0 the two predicates have to agree, or exhaustive
+    // search ranks tuples by the rounds < 1 fallback demand of rungs the
+    // guard was supposed to reject.
+    const double critical = std::max(c.max_workload, mean);
+    const bool guarded = timed && c0 > 0.0 && critical > 0.0;
+    const bool packed = timed && c.count > 0 && mean > 0.0 && c0 > 0.0;
+    const double tasks = static_cast<double>(c.count);
+    for (std::size_t j = 0; j < r; ++j) {
+      const double cj = cc[j * k + i];
+      const double slowdown = c0 > 0.0 ? cj / c0 : 0.0;  // effective F0/Fj
+      if (cj > 0.0 && c0 > 0.0) proxy[j] = std::max(proxy[j], slowdown);
+      // F0 cannot be beaten: never reject it.
+      feasible[i * r + j] =
+          j == 0 || !guarded || critical * slowdown <= t_limit;
+      // Demand: CC[j][i] raised to the task-packing lower bound.
+      double need = cj;
+      if (packed) {
+        const double task_time = mean * slowdown;
+        const double rounds = std::floor(ideal / task_time + 1e-9);
+        if (rounds < 1.0) {
+          // Even one mean-sized task misses T. The guard rejects every
+          // such rung for j > 0, so the searchers never rank tuples by
+          // this value; it remains reachable only at F0 and for callers
+          // that skip the guard, where one core per task is the sane
+          // answer.
+          need = std::max(cj, tasks);
+        } else if (!(cj * rounds > tasks)) {
+          // Otherwise the bound is max(cj, tasks / rounds). Rounding is
+          // monotone, so cj·rounds > tasks in floating point implies it
+          // exactly, and then tasks / rounds rounds to at most cj: the
+          // division only runs where the packing bound can bind.
+          need = std::max(cj, tasks / rounds);
+        }
+      }
+      demand[i * r + j] = need;
+    }
   }
-  const double slowdown = at(j, i) / at(0, i);
-  const double task_time = c.mean_workload * slowdown;
-  const double rounds = std::floor(ideal_time_s_ / task_time + 1e-9);
-  if (rounds < 1.0) {
-    // Even one mean-sized task misses T. rung_feasible rejects every
-    // such rung for j > 0 (it guards on max(max, mean) workload), so
-    // the searchers never rank tuples by this value; it remains
-    // reachable only at F0 and for callers that skip the filter, where
-    // one core per task is the sane answer.
-    return std::max(base, static_cast<double>(c.count));
-  }
-  return std::max(base, static_cast<double>(c.count) / rounds);
 }
 
 std::size_t CCTable::cores_needed(std::size_t j, std::size_t i) const {

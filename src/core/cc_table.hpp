@@ -7,10 +7,17 @@
 //
 // Columns are ordered by descending mean per-task workload, as the search
 // constraint a_i <= a_j (i < j) requires.
+//
+// Every value the searchers read per cell — the task-packing demand, the
+// critical-path rung guard — and each row's proxy slowdown are derived
+// once, at construction, so the accessors below are O(1) reads. A search
+// visits each cell many times (descent nodes, DP tables, candidate
+// evaluation); deriving it once keeps those visits to a load.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,8 +71,12 @@ class CCTable {
   /// Columns k (task classes).
   std::size_t cols() const { return k_; }
 
-  /// Fractional core count CC[j][i].
-  double at(std::size_t j, std::size_t i) const;
+  /// Fractional core count CC[j][i]. Every cell accessor throws
+  /// std::out_of_range for j >= rows() or i >= cols().
+  double at(std::size_t j, std::size_t i) const {
+    check(j, i);
+    return data_[j * k_ + i];
+  }
 
   /// Integral core count: ceil(CC[j][i]), never less than 1 for a class
   /// with work (a class needs at least one core).
@@ -74,7 +85,10 @@ class CCTable {
   /// True when class i's tasks can individually finish within T at rung
   /// j (critical-path guard): max_workload_i · F0/Fj <= T. Always true
   /// for bare matrices (no timing metadata) — the paper's formula alone.
-  bool rung_feasible(std::size_t j, std::size_t i) const;
+  bool rung_feasible(std::size_t j, std::size_t i) const {
+    check(j, i);
+    return feasible_[i * r_ + j] != 0;
+  }
 
   /// Cores class i needs at rung j, combining the paper's aggregate
   /// formula with a task-packing lower bound: tasks are indivisible, so
@@ -87,7 +101,34 @@ class CCTable {
   /// tasks are coarse. The search sums these fractional demands against
   /// the core budget (as Algorithm 1 does with raw CC values); the plan
   /// then carves integral cores by largest remainder.
-  double demand(std::size_t j, std::size_t i) const;
+  double demand(std::size_t j, std::size_t i) const {
+    check(j, i);
+    return demand_[i * r_ + j];
+  }
+
+  /// Largest CC[j][i] / CC[0][i] over the columns with work at both
+  /// rows: the effective F0/Fj of the least memory-bound class, the
+  /// tightest lower bound on the true F0/Fj the table itself carries.
+  /// 0 when no column has work. The modelless search power proxy is
+  /// built on it. Throws std::out_of_range for j >= rows().
+  double proxy_slowdown(std::size_t j) const {
+    check(j, 0);
+    return proxy_slowdown_[j];
+  }
+
+  /// Class i's demand() at every rung, in rung order: the cached column
+  /// the searchers scan. Throws std::out_of_range for i >= cols().
+  std::span<const double> demand_column(std::size_t i) const {
+    check(0, i);
+    return {demand_.data() + i * r_, r_};
+  }
+
+  /// Class i's rung_feasible() at every rung, in rung order (nonzero =
+  /// feasible). Throws std::out_of_range for i >= cols().
+  std::span<const char> feasible_column(std::size_t i) const {
+    check(0, i);
+    return {feasible_.data() + i * r_, r_};
+  }
 
   /// Column metadata (empty when built from a bare matrix).
   const std::vector<ClassProfile>& classes() const { return classes_; }
@@ -107,9 +148,22 @@ class CCTable {
   CCTable(std::size_t r, std::size_t k, std::vector<double> data,
           std::vector<ClassProfile> classes, double ideal_time_s);
 
+  /// Throws std::out_of_range unless (j, i) is a cell of the table.
+  void check(std::size_t j, std::size_t i) const {
+    if (j >= r_ || i >= k_) throw_out_of_range();
+  }
+  [[noreturn]] static void throw_out_of_range();
+
+  /// Fill demand_, feasible_ and proxy_slowdown_ from data_, classes_
+  /// and ideal_time_s_ (run once, by the constructor).
+  void derive_cells();
+
   std::size_t r_ = 0;
   std::size_t k_ = 0;
-  std::vector<double> data_;  // row-major
+  std::vector<double> data_;            // row-major
+  std::vector<double> demand_;          // class-major, demand()
+  std::vector<char> feasible_;          // class-major, rung_feasible()
+  std::vector<double> proxy_slowdown_;  // per row
   std::vector<ClassProfile> classes_;
   double ideal_time_s_ = 0.0;
   std::shared_ptr<const MachineTopology> topology_;

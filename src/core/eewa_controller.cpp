@@ -115,6 +115,10 @@ const FrequencyPlan& EewaController::end_batch(double batch_makespan_s) {
       ++plans_reused_;
     } else {
       searched = true;
+      // The previous adjustment (its CC table, search and plan) is dead
+      // once a new search starts; dropping it first keeps one CC table
+      // alive at a time instead of two.
+      last_ = Adjustment{};
       const std::size_t keep =
           options_.plan_reuse_enabled && options_.incremental_replan_enabled
               ? stable_prefix_len(profile)

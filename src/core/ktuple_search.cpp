@@ -1,11 +1,15 @@
 #include "core/ktuple_search.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <new>
 #include <optional>
+#include <span>
 
 namespace eewa::core {
 
@@ -22,12 +26,10 @@ constexpr double kEps = 1e-9;
 
 /// Power of one active core at rung j under the model or a cubic proxy
 /// (P ∝ f·V² with V roughly ∝ f). Without a model the slowdown F_0/F_j
-/// is recovered from the CC table itself. A single column is not
-/// enough: it may be zero (idle class) and, with per-class memory-aware
-/// alphas, CC[j][i]/CC[0][i] = α_i + (1-α_i)·F_0/F_j understates the
-/// true slowdown for any α_i > 0. Scan every usable column and keep the
-/// largest ratio — the least memory-bound class, the tightest lower
-/// bound on the true F_0/F_j.
+/// is recovered from the CC table itself: a single column is not enough
+/// (it may be zero, and a memory-aware α_i > 0 understates the true
+/// slowdown), so the table's proxy_slowdown — the largest ratio over its
+/// usable columns, cached per row at construction — is the estimate.
 double rung_power(const CCTable& cc, std::size_t j,
                   const energy::PowerModel* model) {
   // Typed tables carry their own per-type power models (or proxy) inside
@@ -37,12 +39,7 @@ double rung_power(const CCTable& cc, std::size_t j,
     return topo->row_active_w(j);
   }
   if (model != nullptr) return model->core_power_w(j, /*active=*/true);
-  double slowdown = 0.0;
-  for (std::size_t i = 0; i < cc.cols(); ++i) {
-    if (cc.at(j, i) > 0.0 && cc.at(0, i) > 0.0) {
-      slowdown = std::max(slowdown, cc.at(j, i) / cc.at(0, i));
-    }
-  }
+  const double slowdown = cc.proxy_slowdown(j);
   const double rel = slowdown > 0.0
                          ? 1.0 / slowdown
                          : 1.0 / (1.0 + static_cast<double>(j));
@@ -141,7 +138,7 @@ bool tuple_is_valid(const CCTable& cc, const std::vector<std::size_t>& tuple,
 
 namespace {
 
-/// Shared state for the recursive searchers (Algorithm 1's a[], c_n).
+/// Shared state for the descent searchers (Algorithm 1's a[], c_n).
 /// Capacity is accounted in fractional core demands, as the paper's
 /// Σ CC[a_i][i] <= m constraint does.
 struct Backtracker {
@@ -175,46 +172,72 @@ struct Backtracker {
     if (topo != nullptr) tused.assign(topo->type_count(), 0.0L);
   }
 
-  // Algorithm 1, Select(i, j), plus the critical-path guard: a rung at
-  // which even one of the class's tasks would overrun T is rejected.
-  bool select(std::size_t i, std::size_t j) {
-    if (node_budget != 0 && nodes >= node_budget) {
-      aborted = true;
-      return false;
-    }
-    ++nodes;
-    if (!cc.rung_feasible(j, i)) return false;
-    const double need = cc.demand(j, i);
-    if (need + c_n > total_cores + kEps) return false;
-    if (topo != nullptr) {
-      const std::size_t t = topo->row_type(j);
-      if (need + tused[t] >
-          static_cast<long double>(topo->type(t).count) + kEps) {
-        return false;
+  // Algorithm 1, SearchTuple(first), unrolled into a loop: class i tries
+  // rungs from the slowest down to its lower bound (lo0 for `first`,
+  // a[i-1] after it) and moves on to class i+1 at the first Select that
+  // fits; when the classes after it dead-end, class i releases its rung
+  // and resumes the scan just below it. Select calls happen in exactly
+  // the recursive formulation's order, so node counts and aborts match
+  // it. Once a budget abort or a greedy dead-end returns false, a[] and
+  // c_n are left mid-descent; callers only read them after a success.
+  bool search(std::size_t first) {
+    const std::size_t k = cc.cols();
+    const std::size_t r = cc.rows();
+    if (first >= k) return true;
+    const double limit = total_cores + kEps;
+    // The hot counters live in locals for the loop, written back on exit.
+    long double used = c_n;
+    std::size_t n = nodes;
+    const auto finish = [&](bool found) {
+      c_n = used;
+      nodes = n;
+      return found;
+    };
+    std::size_t i = first;
+    std::size_t j = r;  // class i tries rung j - 1 next
+    for (;;) {
+      const std::size_t lo = i == first ? lo0 : a[i - 1];
+      const std::span<const char> feasible = cc.feasible_column(i);
+      const std::span<const double> demand = cc.demand_column(i);
+      bool placed = false;
+      while (j > lo && !placed) {
+        // Algorithm 1, Select(i, j), plus the critical-path guard: a
+        // rung at which even one of the class's tasks would overrun T is
+        // rejected.
+        if (node_budget != 0 && n >= node_budget) {
+          aborted = true;
+          return finish(false);
+        }
+        ++n;
+        if (!feasible[--j]) continue;
+        const double need = demand[j];
+        if (need + used > limit) continue;
+        if (topo != nullptr) {
+          const std::size_t t = topo->row_type(j);
+          if (need + tused[t] >
+              static_cast<long double>(topo->type(t).count) + kEps) {
+            continue;
+          }
+          tused[t] += need;
+        }
+        a[i] = j;
+        used += need;
+        placed = true;
       }
-      tused[t] += need;
-    }
-    a[i] = j;
-    c_n += need;
-    return true;
-  }
-
-  // Algorithm 1, SearchTuple(i).
-  bool search(std::size_t i) {
-    if (i >= cc.cols()) return true;
-    const std::size_t lo = i == start_class ? lo0 : a[i - 1];
-    for (std::size_t j = cc.rows(); j-- > lo;) {
-      if (select(i, j)) {
-        if (search(i + 1)) return true;
-        const double need = cc.demand(a[i], i);
-        c_n -= need;
-        if (topo != nullptr) tused[topo->row_type(a[i])] -= need;
-        if (!allow_backtrack) return false;
+      if (placed) {
+        if (i + 1 == k) return finish(true);
+        ++i;
+        j = r;
+        continue;
       }
-      if (aborted) return false;
-      if (j == lo) break;  // size_t guard for the descending loop
+      if (i == first || !allow_backtrack) return finish(false);
+      // Class i's subtree dead-ended: class i - 1 releases its rung.
+      --i;
+      const double need = cc.demand(a[i], i);
+      used -= need;
+      if (topo != nullptr) tused[topo->row_type(a[i])] -= need;
+      j = a[i];
     }
-    return false;
   }
 };
 
@@ -407,6 +430,139 @@ struct PrunedNode {
   std::uint32_t rung = 0;
 };
 
+/// Allocator that maps each block as its own anonymous mapping, outside
+/// the malloc heap. For the scratch arena, which lives as long as its
+/// thread and grows with the search: kept in the heap, it would sit for
+/// good among the caller's short-lived allocations.
+template <typename T>
+struct PageAllocator {
+  using value_type = T;
+
+  PageAllocator() = default;
+  template <typename U>
+  PageAllocator(const PageAllocator<U>&) {}
+
+  T* allocate(std::size_t n) {
+    void* p = mmap(nullptr, bytes(n), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, std::size_t n) { munmap(p, bytes(n)); }
+
+  template <typename U>
+  bool operator==(const PageAllocator<U>&) const {
+    return true;
+  }
+
+ private:
+  static std::size_t bytes(std::size_t n) {
+    constexpr std::size_t kPage = 4096;
+    return (std::max<std::size_t>(n, 1) * sizeof(T) + kPage - 1) / kPage *
+           kPage;
+  }
+};
+
+/// The parent-pointer arena of a pruned search, on its own pages.
+using NodeArena = std::vector<PrunedNode, PageAllocator<PrunedNode>>;
+
+/// Buffers the pruned DPs reuse from call to call on one thread, so a
+/// steady-state search does not regrow them. A call refills every entry
+/// it reads before reading it: the per-rung powers, and the arena,
+/// chains and frontiers from empty. Thread-local because planners run on
+/// several threads. The arena follows the node count (~100 KB at r = 16,
+/// k = 256) and has its own pages; the rest are a few KB.
+struct PrunedScratch {
+  std::vector<double> p;  ///< active power of one core per rung
+  /// Per rung: p minus the power a leftover core draws instead.
+  std::vector<long double> above_base;
+  NodeArena arena;
+  std::vector<std::size_t> chain_a;
+  std::vector<std::size_t> chain_b;
+  // Homogeneous sweep frontiers (per last rung) and pilot chains.
+  std::vector<std::vector<PrunedState>> cur, nxt;
+  std::vector<PrunedState> acc;
+  std::vector<PrunedState> pilot_done;
+  std::vector<PrunedState> curU, curC, nxtU, nxtC;
+};
+
+PrunedScratch& pruned_scratch() {
+  thread_local PrunedScratch scratch;
+  return scratch;
+}
+
+/// Adjusted cost of a class at a rung: its demand times the rung's power
+/// above the leftover baseline. The energy of a full tuple decomposes as
+///   E = Σ_leftover base + Σ_i d_i(a_i)·(p(a_i) - base(a_i))
+/// so the DPs minimize the per-class adjusted cost; the leftover
+/// constant drops out of every comparison.
+long double adjusted_cost(double demand, long double above_base) {
+  return static_cast<long double>(demand) * above_base;
+}
+
+/// Fill the admissible suffix lower bounds over the searched region —
+/// classes [kp, k) at rungs [j0, r), the only cells a sweep reads — from
+/// the table's cached columns and `above_base` (one entry per rung).
+/// The bounds relax the chain constraint to "rung >= j" per class
+/// independently (the cost is evaluated rung by rung, so convexity is
+/// not even needed — the pointwise minimum is exact for the
+/// relaxation), suffix-summed so lb[i][j] bounds any completion of
+/// classes [i, k) at rungs >= j from below; row k is the empty suffix.
+///
+/// `lbC` (adjusted cost) and `lbD` (core demand) are class-major
+/// (k + 1) x r ([i * r + j]). Their size is fixed by the table, so each
+/// search allocates them once, for the call: the planner holds no
+/// 2·(k + 1)·r long doubles (130 KB at r = 16, k = 256) of heap between
+/// plans.
+void fill_lower_bounds(const CCTable& cc, std::size_t kp, std::size_t j0,
+                       const std::vector<long double>& above_base,
+                       std::vector<long double>& lbC,
+                       std::vector<long double>& lbD) {
+  const std::size_t r = cc.rows();
+  const std::size_t k = cc.cols();
+  const long double inf = std::numeric_limits<long double>::infinity();
+  lbC.assign((k + 1) * r, 0.0L);  // row k: the empty suffix
+  lbD.assign((k + 1) * r, 0.0L);
+  for (std::size_t i = k; i-- > kp;) {
+    const std::span<const char> feasible = cc.feasible_column(i);
+    const std::span<const double> demand = cc.demand_column(i);
+    long double bc = inf;
+    long double bd = inf;
+    for (std::size_t j = r; j-- > j0;) {
+      const std::size_t at = i * r + j;
+      if (feasible[j]) {
+        bc = std::min(bc, adjusted_cost(demand[j], above_base[j]));
+        bd = std::min(bd, static_cast<long double>(demand[j]));
+      }
+      lbC[at] = bc + lbC[at + r];
+      lbD[at] = bd + lbD[at + r];
+    }
+  }
+}
+
+/// Rebuild the rungs of the chain ending at arena node `node` into
+/// `out` (`depth` classes, most recent last).
+void reconstruct_chain(const NodeArena& arena, std::uint32_t node,
+                       std::size_t depth, std::vector<std::size_t>& out) {
+  out.assign(depth, 0);
+  std::size_t at = depth;
+  for (std::uint32_t n = node; n != kNoNode; n = arena[n].parent) {
+    out[--at] = arena[n].rung;
+  }
+}
+
+/// True when the chain ending at `na` is lexicographically greater than
+/// the one at `nb` (both cover `depth` classes). Only consulted on exact
+/// ties, where the documented tie-break wants the slower prefix kept:
+/// equal prefixes share their completion set, so the lex-greater prefix
+/// yields the lex-greater final tuple.
+bool chain_lex_greater(PrunedScratch& s, std::uint32_t na, std::uint32_t nb,
+                       std::size_t depth) {
+  reconstruct_chain(s.arena, na, depth, s.chain_a);
+  reconstruct_chain(s.arena, nb, depth, s.chain_b);
+  return s.chain_a > s.chain_b;
+}
+
 SearchResult pruned_typed_core(const CCTable& cc, std::size_t total_cores,
                                const std::vector<std::size_t>* prefix);
 
@@ -439,50 +595,21 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
     used0 = pd->total;
   }
 
-  // Precompute per-rung powers and the per-(class, rung) demand/cost
-  // tables once: rung_power's proxy path scans every column, so calling
-  // it inside the sweep would cost O(k) per extension.
+  // Per-rung powers once (a leftover core parks at the slowest rung),
+  // then the lower bounds over the searched region.
+  PrunedScratch& sc = pruned_scratch();
   const double p_left = leftover_power(cc, r - 1, model);
-  std::vector<double> p(r);
-  for (std::size_t j = 0; j < r; ++j) p[j] = rung_power(cc, j, model);
-
-  // The energy of a full tuple decomposes as
-  //   E = m·p_left + Σ_i d_i(a_i)·(p(a_i) - p_left)       (feasible Σd <= m)
-  // so the DP minimizes the per-class adjusted cost d·(p - p_left); the
-  // constant m·p_left drops out of every comparison.
-  std::vector<char> feas(k * r, 0);
-  std::vector<double> dem(k * r, 0.0);
-  std::vector<long double> cost(k * r, 0.0L);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < r; ++j) {
-      if (!cc.rung_feasible(j, i)) continue;
-      feas[i * r + j] = 1;
-      dem[i * r + j] = cc.demand(j, i);
-      cost[i * r + j] = static_cast<long double>(dem[i * r + j]) *
-                        (static_cast<long double>(p[j]) - p_left);
-    }
+  sc.p.resize(r);
+  sc.above_base.resize(r);
+  for (std::size_t j = 0; j < r; ++j) {
+    sc.p[j] = rung_power(cc, j, model);
+    sc.above_base[j] = static_cast<long double>(sc.p[j]) - p_left;
   }
-
-  // Admissible suffix lower bounds. bestC/bestD relax the chain
-  // constraint to "rung >= j" per class independently (the energy curve
-  // d·(p - p_left) is evaluated rung by rung, so convexity is not even
-  // needed — the pointwise minimum is exact for the relaxation); lbC/lbD
-  // suffix-sum them so lb[i][j] bounds any completion of classes [i, k)
-  // at rungs >= j from below.
-  std::vector<long double> lbC((k + 1) * r, 0.0L);
-  std::vector<long double> lbD((k + 1) * r, 0.0L);
-  for (std::size_t i = k; i-- > kp;) {
-    long double bc = inf;
-    long double bd = inf;
-    for (std::size_t j = r; j-- > 0;) {
-      if (feas[i * r + j]) {
-        bc = std::min(bc, cost[i * r + j]);
-        bd = std::min(bd, static_cast<long double>(dem[i * r + j]));
-      }
-      lbC[i * r + j] = bc + lbC[(i + 1) * r + j];
-      lbD[i * r + j] = bd + lbD[(i + 1) * r + j];
-    }
-  }
+  std::vector<long double> lbC;
+  std::vector<long double> lbD;
+  fill_lower_bounds(cc, kp, j0, sc.above_base, lbC, lbD);
+  const std::vector<long double>& above_base = sc.above_base;
+  const std::vector<double>& p = sc.p;
 
   // Incumbent: Algorithm 1's backtracking descent primes the bound. Its
   // solution is feasible, so the optimum's adjusted cost cannot exceed
@@ -498,39 +625,15 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
   if (seed.found) {
     long double c = 0.0L;
     for (std::size_t i = kp; i < k; ++i) {
-      c += cost[i * r + seed.tuple[i]];
+      c += adjusted_cost(cc.demand(seed.tuple[i], i),
+                         above_base[seed.tuple[i]]);
     }
     ub = c;
   }
 
-  std::vector<PrunedNode> arena;
+  NodeArena& arena = sc.arena;
+  arena.clear();
   arena.reserve(1024);
-  std::vector<std::size_t> scratch_a;
-  std::vector<std::size_t> scratch_b;
-
-  // Reconstruct the suffix rungs of a state into `out` (indices kp..k
-  // of the eventual tuple, most recent class last). `depth` is how many
-  // classes the chain covers.
-  const auto reconstruct = [&](std::uint32_t node, std::size_t depth,
-                               std::vector<std::size_t>& out) {
-    out.assign(depth, 0);
-    std::size_t at = depth;
-    for (std::uint32_t n = node; n != kNoNode; n = arena[n].parent) {
-      out[--at] = arena[n].rung;
-    }
-  };
-
-  // True when the chain ending at `na` is lexicographically greater than
-  // the one at `nb` (both cover `depth` classes). Only consulted on
-  // exact (used, cost) ties, where the documented tie-break wants the
-  // slower prefix kept: equal prefixes share their completion set, so
-  // the lex-greater prefix yields the lex-greater final tuple.
-  const auto lex_greater = [&](std::uint32_t na, std::uint32_t nb,
-                               std::size_t depth) {
-    reconstruct(na, depth, scratch_a);
-    reconstruct(nb, depth, scratch_b);
-    return scratch_a > scratch_b;
-  };
 
   // Insert into a frontier kept sorted by used ascending / cost strictly
   // descending (a proper Pareto front). A state no cheaper on both axes
@@ -549,7 +652,9 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
     if (it != front.end() && it->used == s.used) {
       if (it->cost < s.cost) return;  // dominated at equal cores
       if (it->cost == s.cost) {
-        if (lex_greater(s.node, it->node, depth)) it->node = s.node;
+        if (chain_lex_greater(sc, s.node, it->node, depth)) {
+          it->node = s.node;
+        }
         return;
       }
       *it = s;  // s dominates the equal-cores entry in place
@@ -586,15 +691,25 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
   std::size_t nodes = res.nodes_visited;
 
   // One sweep over the lattice at frontier width `cap_w`, pruning
-  // against the adjusted-cost upper bound `bound`. Returns the final
-  // frontiers indexed by last rung (only rungs >= j0 are reachable).
+  // against the adjusted-cost upper bound `bound`. Leaves the final
+  // frontiers, indexed by last rung, in sc.cur (only rungs >= j0 are
+  // reachable).
   const auto sweep = [&](std::size_t cap_w, long double bound) {
-    std::vector<std::vector<PrunedState>> cur(r), nxt(r);
+    auto& cur = sc.cur;
+    auto& nxt = sc.nxt;
+    auto& acc = sc.acc;
+    cur.resize(r);
+    nxt.resize(r);
+    for (std::size_t j = 0; j < r; ++j) {
+      cur[j].clear();
+      nxt[j].clear();
+    }
     cur[j0].push_back(PrunedState{used0, 0.0L, kNoNode});
-    std::vector<PrunedState> acc;
     for (std::size_t i = kp; i < k; ++i) {
       acc.clear();
       const std::size_t depth = i + 1 - kp;
+      const std::span<const char> feasible = cc.feasible_column(i);
+      const std::span<const double> demand = cc.demand_column(i);
       for (std::size_t j = j0; j < r; ++j) {
         // All states ending at rungs <= j are extendable at rung j; once
         // extended they all end at j, so merging them into one running
@@ -602,9 +717,9 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
         for (const auto& s : cur[j]) pareto_insert(acc, s, depth - 1);
         thin(acc, cap_w);
         nxt[j].clear();
-        if (!feas[i * r + j]) continue;
-        const long double dij = dem[i * r + j];
-        const long double cij = cost[i * r + j];
+        if (!feasible[j]) continue;
+        const long double dij = demand[j];
+        const long double cij = adjusted_cost(demand[j], above_base[j]);
         const long double lb_d = lbD[(i + 1) * r + j];
         const long double lb_c = lbC[(i + 1) * r + j];
         for (const auto& s : acc) {
@@ -621,7 +736,6 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
       }
       cur.swap(nxt);
     }
-    return cur;
   };
 
   // Pilot pass: a scalar two-chain beam over the same lattice — per last
@@ -635,37 +749,54 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
   // near-optimal band. Without it, a table whose incumbent descent
   // aborted would run the main pass against ub = inf and visit orders of
   // magnitude more states.
-  std::vector<PrunedState> pilot_done;
+  std::vector<PrunedState>& pilot_done = sc.pilot_done;
+  pilot_done.clear();
   {
     const PrunedState none{inf, inf, kNoNode};
-    std::vector<PrunedState> curU(r, none), curC(r, none);
-    std::vector<PrunedState> nxtU(r, none), nxtC(r, none);
+    auto& curU = sc.curU;
+    auto& curC = sc.curC;
+    auto& nxtU = sc.nxtU;
+    auto& nxtC = sc.nxtC;
+    curU.assign(r, none);
+    curC.assign(r, none);
+    nxtU.assign(r, none);
+    nxtC.assign(r, none);
     curU[j0] = curC[j0] = PrunedState{used0, 0.0L, kNoNode};
     for (std::size_t i = kp; i < k; ++i) {
-      PrunedState accU = none;  // min used over chains ending at rungs <= j
-      PrunedState accC = none;  // min cost over the same set
+      const std::span<const char> feasible = cc.feasible_column(i);
+      const std::span<const double> demand = cc.demand_column(i);
+      // Chains ending at rungs <= j with the least demand and the least
+      // cost; they point into cur*, which this class only reads.
+      const PrunedState* accU = &none;
+      const PrunedState* accC = &none;
       for (std::size_t j = j0; j < r; ++j) {
-        if (curU[j].used < accU.used) accU = curU[j];
-        if (curC[j].used < accU.used) accU = curC[j];
-        if (curC[j].cost < accC.cost) accC = curC[j];
-        if (curU[j].cost < accC.cost) accC = curU[j];
-        nxtU[j] = nxtC[j] = none;
-        if (!feas[i * r + j]) continue;
-        const long double dij = dem[i * r + j];
-        const long double cij = cost[i * r + j];
-        const long double lb_d = lbD[(i + 1) * r + j];
-        if (accU.used < inf && accU.used + dij + lb_d <= cap + kEps) {
+        const PrunedState& u = curU[j];
+        const PrunedState& c = curC[j];
+        if (u.used < accU->used) accU = &u;
+        if (c.used < accU->used) accU = &c;
+        if (c.cost < accC->cost) accC = &c;
+        if (u.cost < accC->cost) accC = &u;
+        // A chain extends to rung j when it fits even optimistically.
+        const auto extend = [&](const PrunedState* from, PrunedState& out) {
+          if (!feasible[j] || !(from->used < inf)) {
+            out = none;
+            return;
+          }
+          const long double dij = demand[j];
+          if (!(from->used + dij + lbD[(i + 1) * r + j] <= cap + kEps)) {
+            out = none;
+            return;
+          }
           const auto node = static_cast<std::uint32_t>(arena.size());
           arena.push_back(
-              PrunedNode{accU.node, static_cast<std::uint32_t>(j)});
-          nxtU[j] = PrunedState{accU.used + dij, accU.cost + cij, node};
-        }
-        if (accC.used < inf && accC.used + dij + lb_d <= cap + kEps) {
-          const auto node = static_cast<std::uint32_t>(arena.size());
-          arena.push_back(
-              PrunedNode{accC.node, static_cast<std::uint32_t>(j)});
-          nxtC[j] = PrunedState{accC.used + dij, accC.cost + cij, node};
-        }
+              PrunedNode{from->node, static_cast<std::uint32_t>(j)});
+          out = PrunedState{from->used + dij,
+                            from->cost + adjusted_cost(demand[j],
+                                                       above_base[j]),
+                            node};
+        };
+        extend(accU, nxtU[j]);
+        extend(accC, nxtC[j]);
       }
       curU.swap(nxtU);
       curC.swap(nxtC);
@@ -688,21 +819,28 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
   // exactness, determinism and never-worse-than-backtracking — there the
   // sweep must fit a sub-millisecond plan budget (docs/performance.md).
   const std::size_t main_cap = (r - j0) * (k - kp) <= 256 ? kFrontierCap : 6;
-  const auto cur = sweep(main_cap, ub);
+  sweep(main_cap, ub);
 
   // Final selection: evaluate the surviving completions with the exact
   // energy estimator and the exhaustive searcher's tie-break, so the two
-  // searchers agree on the winner. The evaluation reuses the precomputed
-  // p[]/dem[] tables but accumulates in the same order and width as
-  // tuple_energy_estimate, so the result is bit-identical to it —
-  // calling the estimator here would cost O(k^2) per candidate (the
-  // modelless rung_power scans every column).
+  // searchers agree on the winner. The evaluation reuses the p[] table
+  // and the cached demands but accumulates in the same order and width as
+  // tuple_energy_estimate, so the result is bit-identical to it. Every
+  // candidate shares the pinned prefix, so the running sums over classes
+  // [0, kp) are taken once and each candidate continues from them.
+  long double used_kp = 0.0L;
+  long double e_kp = 0.0L;
+  for (std::size_t i = 0; i < kp; ++i) {
+    const double n = cc.demand((*prefix)[i], i);
+    used_kp += n;
+    e_kp += static_cast<long double>(n) * p[(*prefix)[i]];
+  }
   const auto eval_energy = [&](const std::vector<std::size_t>& t,
                                long double* used_out) {
-    long double used = 0.0L;
-    long double e = 0.0L;
-    for (std::size_t i = 0; i < k; ++i) {
-      const double n = dem[i * r + t[i]];
+    long double used = used_kp;
+    long double e = e_kp;
+    for (std::size_t i = kp; i < k; ++i) {
+      const double n = cc.demand(t[i], i);
       used += n;
       e += static_cast<long double>(n) * p[t[i]];
     }
@@ -728,8 +866,8 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
         std::ceil(static_cast<double>(u) - kEps));
   }
   const auto consider = [&](const PrunedState& s) {
-    reconstruct(s.node, k - kp, scratch_a);
-    std::copy(scratch_a.begin(), scratch_a.end(), a.begin() + kp);
+    reconstruct_chain(arena, s.node, k - kp, sc.chain_a);
+    std::copy(sc.chain_a.begin(), sc.chain_a.end(), a.begin() + kp);
     long double u = 0.0L;
     const double e = eval_energy(a, &u);
     const double used_d = static_cast<double>(u);
@@ -756,7 +894,7 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
   // completion that proves found-ness there.
   for (const auto& s : pilot_done) consider(s);
   for (std::size_t j = j0; j < r; ++j) {
-    for (const auto& s : cur[j]) consider(s);
+    for (const auto& s : sc.cur[j]) consider(s);
   }
   res.nodes_visited = nodes;
   res.elapsed_us = elapsed_us_since(start);
@@ -806,7 +944,6 @@ SearchResult pruned_typed_core(const CCTable& cc, std::size_t total_cores,
   const std::size_t k = cc.cols();
   const std::size_t nt = topo.type_count();
   const long double cap = static_cast<long double>(total_cores);
-  const long double inf = std::numeric_limits<long double>::infinity();
 
   std::vector<long double> tcap(nt);
   for (std::size_t t = 0; t < nt; ++t) {
@@ -818,8 +955,6 @@ SearchResult pruned_typed_core(const CCTable& cc, std::size_t total_cores,
   for (std::size_t t = 0; t < nt; ++t) {
     park[t] = topo.row_park_w(topo.slowest_row_of_type(t));
   }
-  std::vector<double> p(r);
-  for (std::size_t j = 0; j < r; ++j) p[j] = topo.row_active_w(j);
 
   std::size_t kp = 0;
   std::size_t j0 = 0;
@@ -837,50 +972,38 @@ SearchResult pruned_typed_core(const CCTable& cc, std::size_t total_cores,
     root.used = pd->per_type;
   }
 
-  std::vector<char> feas(k * r, 0);
-  std::vector<double> dem(k * r, 0.0);
-  std::vector<long double> cost(k * r, 0.0L);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < r; ++j) {
-      if (!cc.rung_feasible(j, i)) continue;
-      feas[i * r + j] = 1;
-      dem[i * r + j] = cc.demand(j, i);
-      cost[i * r + j] = static_cast<long double>(dem[i * r + j]) *
-                        (static_cast<long double>(p[j]) -
-                         static_cast<long double>(park[rtype[j]]));
-    }
+  // A leftover core parks at its own type's slowest rung, so each row's
+  // baseline is its type's park power.
+  PrunedScratch& sc = pruned_scratch();
+  sc.p.resize(r);
+  sc.above_base.resize(r);
+  for (std::size_t j = 0; j < r; ++j) {
+    sc.p[j] = topo.row_active_w(j);
+    sc.above_base[j] = static_cast<long double>(sc.p[j]) -
+                       static_cast<long double>(park[rtype[j]]);
   }
-
-  // Admissible suffix lower bounds, exactly as in the homogeneous DP:
-  // pointwise minima per class at rungs >= j, suffix-summed. lbD bounds
-  // only the *total* demand — admissible for the per-type constraint
-  // too, since Σ_t used_t <= Σ_t m_t = m must hold regardless of split.
-  std::vector<long double> lbC((k + 1) * r, 0.0L);
-  std::vector<long double> lbD((k + 1) * r, 0.0L);
-  for (std::size_t i = k; i-- > kp;) {
-    long double bc = inf;
-    long double bd = inf;
-    for (std::size_t j = r; j-- > 0;) {
-      if (feas[i * r + j]) {
-        bc = std::min(bc, cost[i * r + j]);
-        bd = std::min(bd, static_cast<long double>(dem[i * r + j]));
-      }
-      lbC[i * r + j] = bc + lbC[(i + 1) * r + j];
-      lbD[i * r + j] = bd + lbD[(i + 1) * r + j];
-    }
-  }
+  // lbD bounds only the *total* demand — admissible for the per-type
+  // constraint too, since Σ_t used_t <= Σ_t m_t = m must hold regardless
+  // of split.
+  std::vector<long double> lbC;
+  std::vector<long double> lbD;
+  fill_lower_bounds(cc, kp, j0, sc.above_base, lbC, lbD);
+  const std::vector<long double>& above_base = sc.above_base;
+  const std::vector<double>& p = sc.p;
 
   // Incumbent: budgeted typed backtracking (the Backtracker enforces
   // per-type capacity on typed tables). Abort parity with the oracle's
   // reference descent is preserved through res.aborted.
-  long double ub = inf;
+  long double ub = std::numeric_limits<long double>::infinity();
   const auto seed = run_descent(cc, total_cores, /*allow_backtrack=*/true,
                                 prefix, kIncumbentNodeBudget);
   res.nodes_visited += seed.nodes_visited;
   res.aborted = seed.aborted;
   const auto chain_cost = [&](const std::vector<std::size_t>& t) {
     long double c = 0.0L;
-    for (std::size_t i = kp; i < k; ++i) c += cost[i * r + t[i]];
+    for (std::size_t i = kp; i < k; ++i) {
+      c += adjusted_cost(cc.demand(t[i], i), above_base[t[i]]);
+    }
     return c;
   };
   if (seed.found) ub = chain_cost(seed.tuple);
@@ -897,24 +1020,9 @@ SearchResult pruned_typed_core(const CCTable& cc, std::size_t total_cores,
     }
   }
 
-  std::vector<PrunedNode> arena;
+  NodeArena& arena = sc.arena;
+  arena.clear();
   arena.reserve(1024);
-  std::vector<std::size_t> scratch_a;
-  std::vector<std::size_t> scratch_b;
-  const auto reconstruct = [&](std::uint32_t node, std::size_t depth,
-                               std::vector<std::size_t>& out) {
-    out.assign(depth, 0);
-    std::size_t at = depth;
-    for (std::uint32_t n = node; n != kNoNode; n = arena[n].parent) {
-      out[--at] = arena[n].rung;
-    }
-  };
-  const auto lex_greater = [&](std::uint32_t na, std::uint32_t nb,
-                               std::size_t depth) {
-    reconstruct(na, depth, scratch_a);
-    reconstruct(nb, depth, scratch_b);
-    return scratch_a > scratch_b;
-  };
 
   // Multi-dimensional dominance: a state is dropped only when another is
   // no worse on cost and on every type's usage. Linear scan keeps the
@@ -932,7 +1040,7 @@ SearchResult pruned_typed_core(const CCTable& cc, std::size_t total_cores,
     for (auto& e : front) {
       if (dominates(e, s)) {
         if (e.cost == s.cost && e.used == s.used &&
-            lex_greater(s.node, e.node, depth)) {
+            chain_lex_greater(sc, s.node, e.node, depth)) {
           e.node = s.node;
         }
         return;
@@ -979,13 +1087,15 @@ SearchResult pruned_typed_core(const CCTable& cc, std::size_t total_cores,
   for (std::size_t i = kp; i < k; ++i) {
     acc.clear();
     const std::size_t depth = i + 1 - kp;
+    const std::span<const char> feasible = cc.feasible_column(i);
+    const std::span<const double> demand = cc.demand_column(i);
     for (std::size_t j = j0; j < r; ++j) {
       for (const auto& s : cur[j]) pareto_insert(acc, s, depth - 1);
       thin(acc, main_cap);
       nxt[j].clear();
-      if (!feas[i * r + j]) continue;
-      const long double dij = dem[i * r + j];
-      const long double cij = cost[i * r + j];
+      if (!feasible[j]) continue;
+      const long double dij = demand[j];
+      const long double cij = adjusted_cost(demand[j], above_base[j]);
       const long double lb_d = lbD[(i + 1) * r + j];
       const long double lb_c = lbC[(i + 1) * r + j];
       const std::size_t tj = rtype[j];
@@ -1018,7 +1128,7 @@ SearchResult pruned_typed_core(const CCTable& cc, std::size_t total_cores,
     long double used = 0.0L;
     long double e = 0.0L;
     for (std::size_t i = 0; i < k; ++i) {
-      const double n = dem[i * r + t[i]];
+      const double n = cc.demand(t[i], i);
       used += n;
       used_t[rtype[t[i]]] += n;
       e += static_cast<long double>(n) * p[t[i]];
@@ -1060,8 +1170,8 @@ SearchResult pruned_typed_core(const CCTable& cc, std::size_t total_cores,
   if (greedy_seed.found) consider_tuple(greedy_seed.tuple);
   for (std::size_t j = j0; j < r; ++j) {
     for (const auto& s : cur[j]) {
-      reconstruct(s.node, k - kp, scratch_a);
-      std::copy(scratch_a.begin(), scratch_a.end(), a.begin() + kp);
+      reconstruct_chain(arena, s.node, k - kp, sc.chain_a);
+      std::copy(sc.chain_a.begin(), sc.chain_a.end(), a.begin() + kp);
       consider_tuple(a);
     }
   }

@@ -5,8 +5,15 @@
 //   (3) a_i <= a_j for i < j               (heavier classes run faster).
 //
 // Besides the paper's backtracking algorithm we implement an exhaustive
-// optimal search (minimizing modeled batch energy) and a no-backtracking
-// greedy descent, both for the ablation benches.
+// optimal search (minimizing modeled batch energy), a no-backtracking
+// greedy descent (both for the ablation benches), and the production
+// pruned DP.
+//
+// Every searcher reads each cell's demand and rung feasibility from the
+// CCTable, which derives them once at construction; a search re-derives
+// nothing per node. The pruned DP also keeps its arena and frontiers
+// in per-thread buffers reused from call to call, and a suffix search
+// fills its lower bounds only over the searched region of the lattice.
 #pragma once
 
 #include <cstddef>
@@ -58,10 +65,10 @@ double tuple_energy_estimate(const CCTable& cc,
 
 /// The cubic proxy power tuple_energy_estimate uses for one active core
 /// at rung j when no PowerModel is supplied: (F_j/F_0)³, with F_0/F_j
-/// recovered from the table's own columns (the largest per-class
-/// slowdown — the least memory-bound class — is the tightest lower
-/// bound available). Exposed for the fuzz harness's power-consistency
-/// oracle.
+/// recovered from the table's own columns (CCTable::proxy_slowdown: the
+/// largest per-class slowdown — the least memory-bound class — is the
+/// tightest lower bound available). O(1). Exposed for the fuzz harness's
+/// power-consistency oracle.
 double proxy_rung_power(const CCTable& cc, std::size_t j);
 
 /// Paper Algorithm 1: depth-first descent from the slowest rungs with
@@ -108,6 +115,8 @@ SearchResult search_greedy(const CCTable& cc, std::size_t total_cores);
 /// tie window the two may pick different representatives of an
 /// equal-energy set.
 ///
+/// Thread-safe: the buffers it reuses across calls are per thread.
+///
 /// Worst-case guardrails (adversarial tables only — neither binds at
 /// r·k <= 25, so the exhaustive-equality contract above is unconditional
 /// there): frontiers wider than an internal cap are thinned to a
@@ -127,9 +136,11 @@ SearchResult search_pruned(const CCTable& cc, std::size_t total_cores,
 /// demand. The winning suffix is spliced onto the prefix. The result is
 /// optimal (kPruned/kExhaustive) or first-descent (kBacktracking/
 /// kGreedy) *conditioned on the prefix*; a full search may beat it by
-/// revising prefix rungs. Returns found=false when the prefix itself is
-/// invalid under `cc` (rung infeasible, nonmonotone, or over capacity) —
-/// callers fall back to a full search.
+/// revising prefix rungs. Under kPruned the work past the prefix audit
+/// scales with the searched region (classes [prefix.size(), k) at rungs
+/// >= prefix.back()), not with the whole table. Returns found=false when
+/// the prefix itself is invalid under `cc` (rung infeasible, nonmonotone,
+/// or over capacity) — callers fall back to a full search.
 SearchResult search_suffix(const CCTable& cc, std::size_t total_cores,
                            SearchKind kind,
                            const std::vector<std::size_t>& prefix,

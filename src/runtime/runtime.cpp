@@ -1155,11 +1155,16 @@ void Runtime::service_worker_loop(std::size_t id, PerfCounters* pmc) {
         // retired snapshots while we park; re-acquired on wake.
         *st.worker_snap[id] = nullptr;
         st.publisher.release(id);
-        deep_park(1u << kIdleSleepMaxShift, [&] {
+        const bool woken = deep_park(1u << kIdleSleepMaxShift, [&] {
           return inbox.size_approx() > 0 ||
                  st.workers_exit.load(std::memory_order_acquire);
         });
-        idle_sweeps = kIdleYieldSweeps;
+        // A wake means an arrival is being routed (the dispatcher parks
+        // on the same condvar and is woken with us): spin for it rather
+        // than park for a second wake. A backstop expiry stays in the
+        // park tier — restarting the ramp would spend most of every idle
+        // stretch in open-loop sleeps that no arrival can cut short.
+        idle_sweeps = woken ? 0 : kIdleYieldSweeps + kIdleSleepMaxShift;
       }
     }
   }

@@ -298,18 +298,21 @@ class Runtime {
   /// after the sleeper registers itself (under wake_mu_, which the waker
   /// also takes), closing the check-then-sleep window; the timeout is
   /// the backstop for any residual miss, bounding wakeup latency at the
-  /// old open-loop sleep cap.
+  /// old open-loop sleep cap. Returns false when the backstop expired
+  /// with no wake and no work.
   template <typename HasWork>
-  void deep_park(std::uint64_t max_us, HasWork&& has_work) {
+  bool deep_park(std::uint64_t max_us, HasWork&& has_work) {
     std::unique_lock<std::mutex> lock(wake_mu_);
     const std::uint64_t seen = wake_seq_.load(std::memory_order_relaxed);
     deep_sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    bool woken = true;
     if (!has_work()) {
-      wake_cv_.wait_for(lock, std::chrono::microseconds(max_us), [&] {
+      woken = wake_cv_.wait_for(lock, std::chrono::microseconds(max_us), [&] {
         return wake_seq_.load(std::memory_order_relaxed) != seen;
       });
     }
     deep_sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    return woken;
   }
 
   RuntimeOptions options_;

@@ -53,6 +53,26 @@ TEST(Adjuster, ExhaustiveOptionUsesModel) {
   EXPECT_TRUE(tuple_is_valid(out.cc, out.search.tuple, 16));
 }
 
+TEST(Adjuster, RejectsModelOverADifferentLadder) {
+  // A 3-rung model cannot price the 4-rung Opteron ladder: the first plan
+  // would index past its rungs, so construction must refuse it.
+  const energy::PowerModel model(dvfs::FrequencyLadder({2.5, 1.8, 0.8}),
+                                 {1.3, 1.1, 0.9}, 3.0, 1.0, 0.0);
+  AdjusterOptions opt;
+  opt.search = SearchKind::kPruned;
+  opt.model = &model;
+  EXPECT_THROW(Adjuster(kLadder, 16, opt), std::invalid_argument);
+  ControllerOptions copt;
+  copt.adjuster = opt;
+  EXPECT_THROW(EewaController(kLadder, 16, copt), std::invalid_argument);
+  // A model over a ladder of the same size is accepted and used.
+  const auto matching = energy::PowerModel::opteron8380_server();
+  opt.model = &matching;
+  Adjuster adj(kLadder, 16, opt);
+  const auto out = adj.adjust({{0, "a", 8, 1.0}, {1, "b", 8, 0.25}}, 2, 2.0);
+  EXPECT_TRUE(out.search.found);
+}
+
 TEST(Classifier, ThresholdsWork) {
   BoundednessClassifier c(0.01, 0.5);
   c.record(5, 1000);    // cmi 0.005 -> cpu-bound

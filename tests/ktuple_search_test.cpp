@@ -4,7 +4,14 @@
 // greedy / backtracking / exhaustive searchers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <thread>
 
 #include "core/ktuple_search.hpp"
 #include "testing/scenario.hpp"
@@ -340,6 +347,354 @@ TEST(SuffixSearch, FullLengthPrefixEvaluatesAsIs) {
   ASSERT_TRUE(sfx.found);
   EXPECT_EQ(sfx.tuple, prefix);
   EXPECT_EQ(sfx.cores_used, 16u);
+}
+
+// ------------------------------------------- production-scale golden --
+
+// Bit-exact pins of the pruned searcher at production scale. The tables
+// are bench_ablation_search's scale section (r=16, k=256, m=256, seeds
+// 0x5eed..0x5eed+11, same generator); each row pins one search's tuple
+// digest, node count, abort flag and core count, and the full tuple's
+// energy estimate with and without a power model as raw double bits.
+// A change to any of them changed the planner's output: re-pin only
+// deliberately. On mismatch the test prints the rows it computed.
+
+constexpr std::size_t kScaleRungs = 16;
+constexpr std::size_t kScaleClasses = 256;
+constexpr std::size_t kScaleCores = 256;
+constexpr std::size_t kScaleTables = 12;
+
+CCTable scale_table(std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<ClassProfile> classes(kScaleClasses);
+  double total_work = 0.0;
+  for (std::size_t i = 0; i < kScaleClasses; ++i) {
+    auto& c = classes[i];
+    c.class_id = i;
+    c.name = "c" + std::to_string(i);
+    c.count = 1 + static_cast<std::size_t>(rng.bounded(64));
+    c.mean_workload = 0.001 * std::exp(rng.uniform(0.0, 6.0));
+    c.max_workload = c.mean_workload * (1.0 + rng.uniform());
+    c.mean_alpha = 0.0;
+    total_work += c.total_workload();
+  }
+  std::sort(classes.begin(), classes.end(), [](const auto& a, const auto& b) {
+    return a.mean_workload > b.mean_workload;
+  });
+  const double util = rng.uniform(0.55, 0.85);
+  const double T = total_work / (static_cast<double>(kScaleCores) * util);
+  return CCTable::build(std::move(classes),
+                        dvfs::FrequencyLadder::linear(0.8, 3.2, kScaleRungs),
+                        T);
+}
+
+energy::PowerModel scale_model() {
+  std::vector<double> volts;
+  for (std::size_t j = 0; j < kScaleRungs; ++j) {
+    volts.push_back(1.35 - 0.40 * static_cast<double>(j) /
+                               static_cast<double>(kScaleRungs - 1));
+  }
+  return energy::PowerModel(
+      dvfs::FrequencyLadder::linear(0.8, 3.2, kScaleRungs), volts, 3.51, 1.2,
+      0.0);
+}
+
+/// FNV-1a over the tuple's rungs (0 for "not found").
+std::uint64_t tuple_digest(const SearchResult& res) {
+  if (!res.found) return 0;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::size_t rung : res.tuple) {
+    h = (h ^ static_cast<std::uint64_t>(rung)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct SearchPin {
+  std::uint64_t digest;
+  std::size_t nodes;
+  bool aborted;
+  std::size_t cores;
+  bool operator==(const SearchPin&) const = default;
+};
+
+SearchPin pin_of(const SearchResult& res) {
+  return {tuple_digest(res), res.nodes_visited, res.aborted, res.cores_used};
+}
+
+std::string pin_literal(const SearchPin& p) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "{0x%016" PRIx64 "ULL, %zu, %s, %zu}",
+                p.digest, p.nodes, p.aborted ? "true" : "false", p.cores);
+  return buf;
+}
+
+/// Prefix lengths the suffix pins keep from the full pruned tuple.
+constexpr std::size_t kSuffixPrefixes[] = {16, 128, 240};
+
+struct ScalePin {
+  SearchPin full;        ///< search_pruned, proxy power
+  SearchPin full_model;  ///< search_pruned, scale_model
+  SearchPin suffix[std::size(kSuffixPrefixes)];
+  std::uint64_t energy_proxy_bits;  ///< tuple_energy_estimate, no model
+  std::uint64_t energy_model_bits;  ///< tuple_energy_estimate, scale_model
+  bool operator==(const ScalePin&) const = default;
+};
+
+std::string pin_literal(const ScalePin& p) {
+  std::string s = "    {" + pin_literal(p.full) + ",\n     " +
+                  pin_literal(p.full_model) + ",\n     {";
+  for (std::size_t n = 0; n < std::size(p.suffix); ++n) {
+    s += (n ? ",\n      " : "") + pin_literal(p.suffix[n]);
+  }
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "},\n     0x%016" PRIx64 "ULL, 0x%016" PRIx64
+                "ULL},\n", p.energy_proxy_bits, p.energy_model_bits);
+  return s + buf;
+}
+
+const ScalePin kScalePins[kScaleTables] = {
+    {{0xe69b232399e676aaULL, 22723, true, 256},
+     {0x2f33edbf6bfd1f45ULL, 23770, true, 256},
+     {{0xe69b232399e676aaULL, 12460, true, 256},
+      {0xe69b232399e676aaULL, 11004, true, 256},
+      {0xe69b232399e676aaULL, 4626, true, 256}},
+     0x4063b550f551bd93ULL, 0x40b09ee13be48b69ULL},
+    {{0x079161050a8ba072ULL, 20229, true, 256},
+     {0x4b757559b9187a73ULL, 20286, true, 256},
+     {{0x079161050a8ba072ULL, 10928, true, 256},
+      {0x079161050a8ba072ULL, 9808, true, 256},
+      {0x079161050a8ba072ULL, 4309, true, 256}},
+     0x405684e7cc3cd615ULL, 0x40a8f1481d9907b1ULL},
+    {{0x1a52a748b87090f9ULL, 22048, true, 256},
+     {0x89dcf627ec59fd84ULL, 24010, true, 256},
+     {{0x1a52a748b87090f9ULL, 15489, true, 256},
+      {0x1a52a748b87090f9ULL, 5698, true, 256},
+      {0x1a52a748b87090f9ULL, 4354, true, 256}},
+     0x4062ed99f98786d0ULL, 0x40b043bd63d1151fULL},
+    {{0x4cdca95461e345c2ULL, 23055, true, 256},
+     {0x4cdca95461e345c2ULL, 21770, true, 256},
+     {{0x4cdca95461e345c2ULL, 12839, true, 256},
+      {0x4cdca95461e345c2ULL, 6166, true, 256},
+      {0x4cdca95461e345c2ULL, 4224, true, 256}},
+     0x405610feda58ea7bULL, 0x40a8b698759b4b23ULL},
+    {{0x3bc6e65c5ebc442aULL, 17445, true, 256},
+     {0x3bc6e65c5ebc442aULL, 18866, true, 256},
+     {{0x3bc6e65c5ebc442aULL, 14027, true, 256},
+      {0x3bc6e65c5ebc442aULL, 8334, true, 256},
+      {0x3bc6e65c5ebc442aULL, 4224, true, 256}},
+     0x40534a159485936dULL, 0x40a723e5a25aef41ULL},
+    {{0xa652c719a4531423ULL, 15952, true, 256},
+     {0x353fd54b33f8d63cULL, 26082, true, 256},
+     {{0xa652c719a4531423ULL, 14818, true, 256},
+      {0xa652c719a4531423ULL, 5643, true, 256},
+      {0xa652c719a4531423ULL, 4299, true, 256}},
+     0x406457f6f8c1ea9fULL, 0x40b0e44e77c335a2ULL},
+    {{0x7d92d905061321f8ULL, 22180, true, 256},
+     {0x4abd7f1c937705f1ULL, 22237, true, 256},
+     {{0x7d92d905061321f8ULL, 18263, true, 256},
+      {0x7d92d905061321f8ULL, 10078, true, 256},
+      {0x7d92d905061321f8ULL, 4283, true, 256}},
+     0x405ce4e024801b3fULL, 0x40ac44ea3fd95ed4ULL},
+    {{0x8272285c1693f812ULL, 16646, true, 256},
+     {0x02016bca5c5ce797ULL, 21751, true, 256},
+     {{0x8272285c1693f812ULL, 13243, true, 256},
+      {0x8272285c1693f812ULL, 7955, true, 256},
+      {0x8272285c1693f812ULL, 4330, true, 256}},
+     0x404e7790fc5bfb65ULL, 0x40a4b0fedccfadadULL},
+    {{0xfc0f9c0767fcaf3fULL, 17395, true, 256},
+     {0x2f10f8d03c935381ULL, 16176, true, 256},
+     {{0xfc0f9c0767fcaf3fULL, 11944, true, 256},
+      {0xfc0f9c0767fcaf3fULL, 5825, true, 256},
+      {0xfc0f9c0767fcaf3fULL, 4208, true, 256}},
+     0x4050db822b16e067ULL, 0x40a5b6086f2b1d0fULL},
+    {{0x52b36640e53523caULL, 15949, true, 256},
+     {0xadf0c75dc55bbc99ULL, 18897, true, 256},
+     {{0x52b36640e53523caULL, 9094, true, 256},
+      {0x52b36640e53523caULL, 8086, true, 256},
+      {0x52b36640e53523caULL, 4224, true, 256}},
+     0x4051c4a672c2554aULL, 0x40a644e6618a6c67ULL},
+    {{0x639e244a41298185ULL, 17511, true, 256},
+     {0x639e244a41298185ULL, 18828, true, 256},
+     {{0x639e244a41298185ULL, 13771, true, 256},
+      {0x639e244a41298185ULL, 8399, true, 256},
+      {0x639e244a41298185ULL, 4471, true, 256}},
+     0x404f709b501dcd67ULL, 0x40a4fe57360a1902ULL},
+    {{0x5924b7521fb4ce79ULL, 16741, true, 256},
+     {0xe8fad76868acaddcULL, 21203, true, 256},
+     {{0x5924b7521fb4ce79ULL, 8243, true, 256},
+      {0x5924b7521fb4ce79ULL, 7235, true, 256},
+      {0x5924b7521fb4ce79ULL, 4224, true, 256}},
+     0x4052c648782b61caULL, 0x40a6d8c7a7356121ULL},
+};
+
+/// The suffix pins of one full result: prefixes cut from its tuple.
+template <std::size_t N>
+void pin_suffixes(const CCTable& cc, std::size_t m, const SearchResult& full,
+                  const std::size_t (&lengths)[N], SearchPin (&out)[N]) {
+  for (std::size_t n = 0; n < N; ++n) {
+    const std::vector<std::size_t> prefix(
+        full.tuple.begin(),
+        full.tuple.begin() + static_cast<std::ptrdiff_t>(lengths[n]));
+    out[n] = pin_of(search_suffix(cc, m, SearchKind::kPruned, prefix));
+  }
+}
+
+TEST(PrunedGolden, ScaleTablesBitExact) {
+  const auto model = scale_model();
+  std::string literal;
+  std::string moved;
+  for (std::size_t t = 0; t < kScaleTables; ++t) {
+    const auto cc = scale_table(0x5eedULL + t);
+    const auto full = search_pruned(cc, kScaleCores);
+    ASSERT_TRUE(full.found) << "table " << t;
+    ScalePin pin{};
+    pin.full = pin_of(full);
+    pin.full_model = pin_of(search_pruned(cc, kScaleCores, &model));
+    pin_suffixes(cc, kScaleCores, full, kSuffixPrefixes, pin.suffix);
+    pin.energy_proxy_bits = std::bit_cast<std::uint64_t>(
+        tuple_energy_estimate(cc, full.tuple, kScaleCores));
+    pin.energy_model_bits = std::bit_cast<std::uint64_t>(
+        tuple_energy_estimate(cc, full.tuple, kScaleCores, &model));
+    literal += pin_literal(pin);
+    if (!(pin == kScalePins[t])) moved += " " + std::to_string(t);
+  }
+  EXPECT_TRUE(moved.empty()) << "tables moved:" << moved
+                             << "\ncomputed pins:\n" << literal;
+}
+
+// The typed DP at a smaller scale (two 8-rung core types, k=64), since
+// its multi-dimensional fronts cost more per state.
+constexpr std::size_t kTypedClasses = 64;
+constexpr std::size_t kTypedTables = 4;
+constexpr std::size_t kTypedPrefixes[] = {8, 40};
+
+MachineTopology typed_scale_topology() {
+  CoreType big{"big", dvfs::FrequencyLadder::linear(1.2, 3.2, 8),
+               std::vector<double>(8, 1.0), nullptr, 96};
+  CoreType little{"little", dvfs::FrequencyLadder::linear(0.6, 2.0, 8),
+                  std::vector<double>(8, 0.6), nullptr, 64};
+  return MachineTopology({big, little});
+}
+
+CCTable typed_scale_table(const MachineTopology& topo, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<ClassProfile> classes(kTypedClasses);
+  double total_work = 0.0;
+  for (std::size_t i = 0; i < kTypedClasses; ++i) {
+    auto& c = classes[i];
+    c.class_id = i;
+    c.name = "c" + std::to_string(i);
+    c.count = 1 + static_cast<std::size_t>(rng.bounded(32));
+    c.mean_workload = 0.001 * std::exp(rng.uniform(0.0, 5.0));
+    c.max_workload = c.mean_workload * (1.0 + rng.uniform());
+    total_work += c.total_workload();
+  }
+  std::sort(classes.begin(), classes.end(), [](const auto& a, const auto& b) {
+    return a.mean_workload > b.mean_workload;
+  });
+  const double util = rng.uniform(0.35, 0.6);
+  const double T =
+      total_work / (static_cast<double>(topo.total_cores()) * util);
+  return CCTable::build_typed(std::move(classes), topo, T);
+}
+
+struct TypedPin {
+  SearchPin full;
+  SearchPin suffix[std::size(kTypedPrefixes)];
+  std::uint64_t energy_bits;
+  bool operator==(const TypedPin&) const = default;
+};
+
+std::string pin_literal(const TypedPin& p) {
+  std::string s = "    {" + pin_literal(p.full) + ",\n     {";
+  for (std::size_t n = 0; n < std::size(p.suffix); ++n) {
+    s += (n ? ",\n      " : "") + pin_literal(p.suffix[n]);
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "},\n     0x%016" PRIx64 "ULL},\n",
+                p.energy_bits);
+  return s + buf;
+}
+
+const TypedPin kTypedPins[kTypedTables] = {
+    {{0xb55e018839f76fb3ULL, 11204, true, 159},
+     {{0x7799d64dfd9e3904ULL, 7524, true, 160},
+      {0xb1b887df9627ccd3ULL, 13347, true, 159}},
+     0x40349b623f766d73ULL},
+    {{0x906086ac76837757ULL, 8391, true, 154},
+     {{0x124977a19d0d6c6dULL, 8195, true, 159},
+      {0xe8f26f3da0808ae1ULL, 3641, false, 155}},
+     0x40573766a1e96001ULL},
+    {{0xf1d75f774f6766f1ULL, 9237, true, 160},
+     {{0x10fced92cfc46d9fULL, 8024, true, 150},
+      {0xf1d75f774f6766f1ULL, 6442, true, 160}},
+     0x404c668f18d66530ULL},
+    {{0xd5a3ffa3ff63d62fULL, 11142, true, 154},
+     {{0x8d6680f07cea8cb0ULL, 7387, true, 160},
+      {0xdd26b61b89060cd7ULL, 14388, true, 154}},
+     0x4033a28c703d9b44ULL},
+};
+
+TEST(PrunedGolden, TypedTablesBitExact) {
+  const auto topo = typed_scale_topology();
+  const std::size_t m = topo.total_cores();
+  std::string literal;
+  std::string moved;
+  for (std::size_t t = 0; t < kTypedTables; ++t) {
+    const auto cc = typed_scale_table(topo, 0x7e7eULL + t);
+    const auto full = search_pruned(cc, m);
+    ASSERT_TRUE(full.found) << "table " << t;
+    TypedPin pin{};
+    pin.full = pin_of(full);
+    pin_suffixes(cc, m, full, kTypedPrefixes, pin.suffix);
+    pin.energy_bits =
+        std::bit_cast<std::uint64_t>(tuple_energy_estimate(cc, full.tuple, m));
+    literal += pin_literal(pin);
+    if (!(pin == kTypedPins[t])) moved += " " + std::to_string(t);
+  }
+  EXPECT_TRUE(moved.empty()) << "tables moved:" << moved
+                             << "\ncomputed pins:\n" << literal;
+}
+
+TEST(PrunedGolden, ScratchReuseMatchesFreshThread) {
+  // The DPs keep their buffers per thread from call to call. A result
+  // must not depend on what ran before it: a run of searches mixing
+  // table sizes, prefix lengths and typed tables must equal each search
+  // run alone on a fresh thread.
+  const auto topo = typed_scale_topology();
+  std::vector<std::function<SearchResult()>> cases;
+  const auto big = std::make_shared<CCTable>(scale_table(0x5eedULL));
+  const auto typed =
+      std::make_shared<CCTable>(typed_scale_table(topo, 0x7e7eULL));
+  const auto big_tuple = search_pruned(*big, kScaleCores).tuple;
+  cases.push_back([big] { return search_pruned(*big, kScaleCores); });
+  cases.push_back([] { return search_pruned(fig3(), 10); });
+  cases.push_back([big, big_tuple] {
+    return search_suffix(*big, kScaleCores, SearchKind::kPruned,
+                         {big_tuple.begin(), big_tuple.begin() + 200});
+  });
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const auto spec = testing::TableSpec::random(seed);
+    const auto cc = std::make_shared<CCTable>(spec.build());
+    cases.push_back([cc, m = spec.cores] { return search_pruned(*cc, m); });
+    cases.push_back([cc, m = spec.cores] {
+      return search_suffix(*cc, m, SearchKind::kPruned, {cc->rows() - 1});
+    });
+  }
+  cases.push_back([typed, &topo] {
+    return search_pruned(*typed, topo.total_cores());
+  });
+  cases.push_back([big] { return search_pruned(*big, kScaleCores / 2); });
+  for (std::size_t n = 0; n < cases.size(); ++n) {
+    const SearchResult seq = cases[n]();
+    SearchResult fresh;
+    std::thread([&] { fresh = cases[n](); }).join();
+    EXPECT_EQ(seq.found, fresh.found) << "case " << n;
+    EXPECT_EQ(seq.tuple, fresh.tuple) << "case " << n;
+    EXPECT_EQ(seq.nodes_visited, fresh.nodes_visited) << "case " << n;
+    EXPECT_EQ(seq.aborted, fresh.aborted) << "case " << n;
+    EXPECT_EQ(seq.cores_used, fresh.cores_used) << "case " << n;
+  }
 }
 
 // ------------------------------------------------ randomized properties --

@@ -12,6 +12,9 @@
 //
 //   fleet_explorer --machines 64 --duration 3.5 --load 0.5  # ~11M tasks
 //   fleet_explorer --threads 8 ...   # same bytes, less wall time
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,6 +25,41 @@
 #include "trace/arrivals.hpp"
 
 using namespace eewa;
+
+namespace {
+
+[[noreturn]] void bad_value(const char* flag, const char* text,
+                            const char* want) {
+  std::fprintf(stderr, "fleet_explorer: %s expects %s, got '%s'\n", flag,
+               want, text);
+  std::exit(2);
+}
+
+/// A finite, non-negative decimal; anything else exits 2.
+double parse_real(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v < 0.0) {
+    bad_value(flag, text, "a finite non-negative number");
+  }
+  return v;
+}
+
+/// A non-negative integer in base 10; anything else exits 2.
+std::size_t parse_count(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    bad_value(flag, text, "a non-negative integer");
+  }
+  return static_cast<std::size_t>(v);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   sim::FleetOptions opts;
@@ -64,31 +102,31 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (arg == "--machines") {
-      opts.machines = std::strtoull(next(i), nullptr, 10);
+      opts.machines = parse_count(arg.c_str(), next(i));
     } else if (arg == "--cores") {
-      opts.machine.cores = std::strtoull(next(i), nullptr, 10);
+      opts.machine.cores = parse_count(arg.c_str(), next(i));
     } else if (arg == "--duration") {
-      duration_s = std::strtod(next(i), nullptr);
+      duration_s = parse_real(arg.c_str(), next(i));
     } else if (arg == "--load") {
-      load = std::strtod(next(i), nullptr);
+      load = parse_real(arg.c_str(), next(i));
     } else if (arg == "--epoch") {
-      opts.epoch_s = std::strtod(next(i), nullptr);
+      opts.epoch_s = parse_real(arg.c_str(), next(i));
     } else if (arg == "--mean-work") {
-      mean_work_s = std::strtod(next(i), nullptr);
+      mean_work_s = parse_real(arg.c_str(), next(i));
     } else if (arg == "--policy") {
       opts.policy = next(i);
     } else if (arg == "--placement") {
       opts.placement = next(i);
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(i), nullptr, 10);
+      seed = parse_count(arg.c_str(), next(i));
     } else if (arg == "--initial-state") {
-      opts.initial_state = std::strtoull(next(i), nullptr, 10);
+      opts.initial_state = parse_count(arg.c_str(), next(i));
     } else if (arg == "--park-after") {
-      opts.park_after_epochs = std::strtoull(next(i), nullptr, 10);
+      opts.park_after_epochs = parse_count(arg.c_str(), next(i));
     } else if (arg == "--max-backlog") {
-      opts.max_backlog_s = std::strtod(next(i), nullptr);
+      opts.max_backlog_s = parse_real(arg.c_str(), next(i));
     } else if (arg == "--threads") {
-      opts.threads = std::strtoull(next(i), nullptr, 10);
+      opts.threads = parse_count(arg.c_str(), next(i));
     } else if (arg == "--quiet") {
       quiet = true;
     } else {

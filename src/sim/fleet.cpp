@@ -59,8 +59,10 @@ struct Slot {
   std::size_t epochs_in_state = 0;
   bool pending_wake = false;
   double wake_at = 0.0;
-  std::vector<trace::Arrival> staged;
-  trace::Batch batch;  ///< reused every epoch (no per-epoch churn)
+  /// This epoch's routed tasks, reused every epoch (no per-epoch
+  /// churn). The router appends each with its absolute arrival time in
+  /// release_s; step_machine rebases those to the batch start in place.
+  trace::Batch batch;
   obs::MachineReport rep;
 };
 
@@ -110,7 +112,9 @@ void validate(const FleetOptions& opts) {
 Fleet::Fleet(FleetOptions opts, trace::ArrivalSpec arrivals)
     : opts_(std::move(opts)), spec_(std::move(arrivals)) {
   validate(opts_);
-  // Fail fast on unknown names (before a long run starts).
+  // Fail fast on unknown names and a malformed stream spec (before a
+  // long run starts).
+  trace::ArrivalStream{spec_};
   make_placement(opts_.placement, 1.0);
   std::vector<std::string> class_names;
   for (const auto& c : spec_.classes) class_names.push_back(c.name);
@@ -169,7 +173,6 @@ obs::FleetReport Fleet::run() {
   if (threads > 1 && M > 1) pool.emplace(threads);
 
   std::vector<MachineView> views(M);
-  std::vector<trace::Arrival> epoch_arrivals;  // reused across epochs
 
   // The per-machine epoch step: run the staged batch (waking a sleeper
   // first), then apply consolidation. Touches only slot i and reads
@@ -177,7 +180,7 @@ obs::FleetReport Fleet::run() {
   // machines concurrently; the serial engine calls it in index order.
   const auto step_machine = [&](std::size_t i, double t0, double t1) {
     auto& s = slots[i];
-    const bool ran = !s.staged.empty();
+    const bool ran = !s.batch.tasks.empty();
     if (ran) {
       double start;
       if (s.parked) {
@@ -198,18 +201,15 @@ obs::FleetReport Fleet::run() {
         start = std::max(s.m->charged_through(), t0);
         s.m->run_idle(start);  // powered-idle gap since the last batch
       }
-      s.batch.tasks.clear();
-      for (const auto& a : s.staged) {
-        trace::TraceTask t = a.task;
-        t.release_s = std::max(0.0, a.time_s - start);
-        s.batch.tasks.push_back(t);
+      for (auto& t : s.batch.tasks) {
+        t.release_s = std::max(0.0, t.release_s - start);
       }
       const double end = s.m->run_batch(*s.policy, s.batch, start);
       s.busy_until = end;
       if (s.rep.first_start_s < 0.0) s.rep.first_start_s = start;
       ++s.rep.batches;
       s.idle_epochs = 0;
-      s.staged.clear();
+      s.batch.tasks.clear();
     }
 
     // Consolidation: an idle machine parks, a sleeper sinks deeper.
@@ -254,14 +254,12 @@ obs::FleetReport Fleet::run() {
     }
     placement->begin_epoch(views);
 
-    // Route this epoch's arrivals task by task (serial — placement
-    // state is inherently sequential, each pick depends on the last).
-    // The final epoch drains the stream unconditionally so float noise
-    // in epochs * epoch_s versus duration_s can never drop a tail
-    // arrival.
-    epoch_arrivals.clear();
-    stream.drain_until(t1, last, epoch_arrivals);
-    for (const trace::Arrival& a : epoch_arrivals) {
+    // Route this epoch's arrivals task by task as the stream generates
+    // them (serial — placement state is inherently sequential, each
+    // pick depends on the last). The final epoch drains the stream
+    // unconditionally so float noise in epochs * epoch_s versus
+    // duration_s can never drop a tail arrival.
+    stream.drain_until(t1, last, [&](const trace::Arrival& a) {
       ++out.offered;
       out.offered_work_s += a.task.work_s;
       const std::size_t pick = placement->place(a.task.work_s, views);
@@ -282,12 +280,12 @@ obs::FleetReport Fleet::run() {
           v.wake_latency_s = 0.0;
           v.sleep_state = 0;
         }
-        s.staged.push_back(a);
+        s.batch.tasks.push_back(a.task);  // release_s == a.time_s
         ++s.rep.routed;
         v.backlog_s += a.task.work_s / cores;
         placement->update(pick, views);
       }
-    }
+    });
 
     // Machine-epoch phase: batches and consolidation, data-parallel
     // across machines (the epoch barrier is parallel_for's return).

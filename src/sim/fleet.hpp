@@ -112,8 +112,10 @@ struct FleetOptions {
 /// The fleet simulator. Single-shot: construct, run() once.
 class Fleet {
  public:
-  /// Validates options (throws std::invalid_argument on a malformed
-  /// ladder, zero machines, non-positive epoch, unknown policy names).
+  /// Validates options and the stream spec (throws
+  /// std::invalid_argument on a malformed ladder, zero machines,
+  /// non-positive epoch, unknown policy names, or a spec ArrivalStream
+  /// rejects).
   Fleet(FleetOptions opts, trace::ArrivalSpec arrivals);
 
   /// Run the whole stream to drain and return the report.

@@ -1,7 +1,9 @@
 #include "trace/arrivals.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -19,6 +21,32 @@ double mean_work_of_mix(const std::vector<ArrivalClassSpec>& classes) {
   return weight > 0.0 ? work / weight : 0.0;
 }
 
+void validate(const ArrivalSpec& spec) {
+  const auto fail = [](const std::string& what) {
+    throw std::invalid_argument("ArrivalStream: " + what);
+  };
+  if (spec.classes.empty()) fail("no classes");
+  const auto check = [&](double v, const char* field, bool ok) {
+    if (!std::isfinite(v)) fail(std::string(field) + " is not finite");
+    if (!ok) fail(std::string(field) + " = " + std::to_string(v) +
+                  " is out of range");
+  };
+  check(spec.load, "load", spec.load >= 0.0);
+  check(spec.duration_s, "duration_s", spec.duration_s >= 0.0);
+  const bool bursty = spec.kind == ArrivalKind::kBursty;
+  check(spec.burst_factor, "burst_factor",
+        !bursty || spec.burst_factor >= 1.0);
+  check(spec.burst_period_s, "burst_period_s",
+        !bursty || spec.burst_period_s > 0.0);
+  for (const auto& c : spec.classes) {
+    check(c.weight, "weight", true);
+    check(c.mean_work_s, "mean_work_s", c.mean_work_s >= 0.0);
+    check(c.cv, "cv", c.cv >= 0.0);
+    check(c.cmi, "cmi", c.cmi >= 0.0);
+    check(c.mem_alpha, "mem_alpha", c.mem_alpha >= 0.0 && c.mem_alpha <= 1.0);
+  }
+}
+
 }  // namespace
 
 double ArrivalSpec::rate_tps() const {
@@ -30,9 +58,7 @@ double ArrivalSpec::rate_tps() const {
 
 ArrivalStream::ArrivalStream(const ArrivalSpec& spec)
     : spec_(spec), rng_(spec.seed) {
-  if (spec_.classes.empty()) {
-    throw std::invalid_argument("ArrivalStream: no classes");
-  }
+  validate(spec_);
   rate_ = spec_.rate_tps();
   if (rate_ <= 0.0) {
     done_ = true;  // an empty stream, not an error (zero offered load)
@@ -49,6 +75,11 @@ ArrivalStream::ArrivalStream(const ArrivalSpec& spec)
     throw std::invalid_argument("ArrivalStream: zero total weight");
   }
   for (auto& c : cdf_) c /= total_weight;
+  work_params_.reserve(spec_.classes.size());
+  for (const auto& c : spec_.classes) {
+    work_params_.push_back(
+        util::Xoshiro256::lognormal_params(c.mean_work_s, c.cv));
+  }
   // Thinned Poisson process: draw at the peak rate, keep a draw with
   // probability rate(t)/peak. This keeps the square wave exact without
   // per-phase bookkeeping.
@@ -63,24 +94,13 @@ std::optional<Arrival> ArrivalStream::next() {
     peeked_.reset();
     return a;
   }
-  return generate();
+  Arrival a;
+  if (!generate(a)) return std::nullopt;
+  return a;
 }
 
-std::size_t ArrivalStream::drain_until(double until_s, bool all,
-                                       std::vector<Arrival>& out) {
-  std::size_t appended = 0;
-  for (;;) {
-    if (!peeked_) peeked_ = generate();
-    if (!peeked_) return appended;
-    if (!all && !(peeked_->time_s < until_s)) return appended;
-    out.push_back(*peeked_);
-    peeked_.reset();
-    ++appended;
-  }
-}
-
-std::optional<Arrival> ArrivalStream::generate() {
-  if (done_) return std::nullopt;
+bool ArrivalStream::generate(Arrival& a) {
+  if (done_) return false;
   const auto rate_at = [&](double t) {
     if (spec_.kind != ArrivalKind::kBursty) return rate_;
     // On-phase for the first half of each period at burst_factor times
@@ -96,7 +116,7 @@ std::optional<Arrival> ArrivalStream::generate() {
     t_ += rng_.exponential(1.0 / peak_rate_);
     if (t_ >= spec_.duration_s) {
       done_ = true;
-      return std::nullopt;
+      return false;
     }
     if (peak_rate_ > rate_ && !rng_.chance(rate_at(t_) / peak_rate_)) {
       continue;
@@ -105,16 +125,16 @@ std::optional<Arrival> ArrivalStream::generate() {
     std::size_t k = 0;
     while (k + 1 < cdf_.size() && cdf_[k] < u) ++k;
     const auto& cls = spec_.classes[k];
-    Arrival a;
     a.time_s = t_;
     a.task.class_id = k;
-    a.task.work_s = cls.cv > 0.0
-                        ? rng_.lognormal_mean_cv(cls.mean_work_s, cls.cv)
-                        : cls.mean_work_s;
+    a.task.work_s =
+        cls.cv > 0.0
+            ? rng_.lognormal(work_params_[k].mu, work_params_[k].sigma)
+            : cls.mean_work_s;
     a.task.cmi = cls.cmi;
     a.task.mem_alpha = cls.mem_alpha;
     a.task.release_s = t_;
-    return a;
+    return true;
   }
 }
 

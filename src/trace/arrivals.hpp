@@ -73,30 +73,64 @@ struct Arrival {
 /// still throws, as generate_arrivals does.
 class ArrivalStream {
  public:
+  /// Throws std::invalid_argument on a malformed spec: no classes, a
+  /// non-finite field, a negative load, duration, mean work, cv or cmi,
+  /// mem_alpha outside [0, 1], or (kBursty) burst_period_s <= 0 or
+  /// burst_factor < 1.
   explicit ArrivalStream(const ArrivalSpec& spec);
 
   /// Next arrival in time order, or nullopt once past spec.duration_s.
   std::optional<Arrival> next();
 
-  /// Bulk form for epoch-driven consumers: append every remaining
-  /// arrival with time_s < until_s (all of them when `all` is set — the
-  /// fleet's final-epoch unconditional drain) to `out`, reusing out's
-  /// capacity, and return the count appended. Interleaving drain_until
-  /// and next() yields exactly the next()-only sequence; once `out` has
-  /// reached its high-water capacity, steady-state calls perform zero
-  /// heap allocations.
+  /// Bulk form for epoch-driven consumers: hand every remaining arrival
+  /// with time_s < until_s (all of them when `all` is set — the fleet's
+  /// final-epoch unconditional drain) to `fn(const Arrival&)`, in time
+  /// order as it is generated, and return the count handed over.
+  /// Interleaving drain_until and next() yields exactly the next()-only
+  /// sequence, and the stream itself never allocates here.
+  template <class Fn>
+  std::size_t drain_until(double until_s, bool all, Fn&& fn) {
+    std::size_t handed = 0;
+    if (peeked_) {
+      if (!all && !(peeked_->time_s < until_s)) return 0;
+      fn(*peeked_);
+      peeked_.reset();
+      ++handed;
+    }
+    Arrival a;
+    while (generate(a)) {
+      if (!all && !(a.time_s < until_s)) {
+        peeked_ = a;
+        return handed;
+      }
+      fn(a);
+      ++handed;
+    }
+    return handed;
+  }
+
+  /// drain_until appending into `out` (reusing its capacity: once `out`
+  /// has reached its high-water capacity, steady-state calls perform
+  /// zero heap allocations).
   std::size_t drain_until(double until_s, bool all,
-                          std::vector<Arrival>& out);
+                          std::vector<Arrival>& out) {
+    return drain_until(until_s, all,
+                       [&out](const Arrival& a) { out.push_back(a); });
+  }
 
   const ArrivalSpec& spec() const { return spec_; }
 
  private:
-  /// Generate the next arrival, ignoring the peek slot.
-  std::optional<Arrival> generate();
+  /// Generate the next arrival into `a`, ignoring the peek slot; false
+  /// once the stream is past spec.duration_s.
+  bool generate(Arrival& a);
 
   ArrivalSpec spec_;
   util::Xoshiro256 rng_;
   std::vector<double> cdf_;  ///< class-selection CDF over weights
+  /// Per class: log-space lognormal parameters of its work jitter,
+  /// derived once from (mean_work_s, cv).
+  std::vector<util::Xoshiro256::LogParams> work_params_;
   double rate_ = 0.0;
   double peak_rate_ = 0.0;
   double t_ = 0.0;
@@ -107,8 +141,9 @@ class ArrivalStream {
 };
 
 /// Generate the stream, sorted by time. Deterministic in spec.seed.
-/// Throws std::invalid_argument when the spec's offered rate is not
-/// positive (use ArrivalStream directly when an empty stream is valid).
+/// Throws std::invalid_argument on a spec ArrivalStream rejects, and
+/// when the spec's offered rate is not positive (use ArrivalStream
+/// directly when an empty stream is valid).
 std::vector<Arrival> generate_arrivals(const ArrivalSpec& spec);
 
 /// Pack a stream into a one-batch TaskTrace (release_s = arrival time):

@@ -133,12 +133,28 @@ class Xoshiro256 {
   /// Normal with mean/stddev.
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
 
+  /// Log-normal with log-space parameters: exp(Normal(mu, sigma)).
+  double lognormal(double mu, double sigma) {
+    return std::exp(normal(mu, sigma));
+  }
+
+  /// Log-space (mu, sigma) of the log-normal with the given mean and
+  /// cv = stddev/mean. Callers drawing many variates of one shape cache
+  /// this and call lognormal(mu, sigma) — the same bits per draw.
+  struct LogParams {
+    double mu = 0.0;
+    double sigma = 0.0;
+  };
+  static LogParams lognormal_params(double mean, double cv) {
+    const double sigma2 = std::log(1.0 + cv * cv);
+    return {std::log(mean) - 0.5 * sigma2, std::sqrt(sigma2)};
+  }
+
   /// Log-normal parameterized by the mean/cv of the *resulting* distribution.
   /// cv = stddev/mean of the log-normal variate.
   double lognormal_mean_cv(double mean, double cv) {
-    const double sigma2 = std::log(1.0 + cv * cv);
-    const double mu = std::log(mean) - 0.5 * sigma2;
-    return std::exp(normal(mu, std::sqrt(sigma2)));
+    const LogParams p = lognormal_params(mean, cv);
+    return lognormal(p.mu, p.sigma);
   }
 
   /// Bernoulli trial with probability p.

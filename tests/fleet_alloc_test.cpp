@@ -1,7 +1,8 @@
 // Allocation-freedom checks for the fleet hot loop, via the same
-// counting global allocator spawn_path_test uses: once the reused
-// buffers reach their high-water capacity, an epoch's worth of
-// ArrivalStream::drain_until must perform zero heap allocations, and
+// counting global allocator spawn_path_test uses: the callable form of
+// ArrivalStream::drain_until (the fleet's router) never allocates, and
+// once the reused buffers reach their high-water capacity, an epoch's
+// worth of the vector form must perform zero heap allocations, and
 // Machine::configure_pools must stop reallocating when the pool shape
 // repeats (the fleet runs one machine through hundreds of thousands of
 // same-shaped batches).
@@ -75,6 +76,28 @@ TEST(FleetAlloc, DrainUntilIsAllocFreeInSteadyState) {
   EXPECT_GT(drained, 0u) << "premise: the stream must still be flowing";
   EXPECT_EQ(tl_heap_allocs, before)
       << "drain_until allocated in steady state";
+}
+
+TEST(FleetAlloc, CallableDrainIsAllocFreeInSteadyState) {
+  // The fleet routes each arrival straight from the stream through a
+  // callable; that path must not touch the heap at all once running.
+  const auto arr = busy_spec();
+  trace::ArrivalStream stream(arr);
+  double work = 0.0;
+  const auto sink = [&work](const trace::Arrival& a) { work += a.task.work_s; };
+  const double epoch_s = 0.02;
+  double t = epoch_s;
+  ASSERT_GT(stream.drain_until(t, false, sink), 0u);  // warm-up epoch
+  const std::uint64_t before = tl_heap_allocs;
+  std::size_t drained = 0;
+  for (int e = 0; e < 20; ++e) {
+    t += epoch_s;
+    drained += stream.drain_until(t, false, sink);
+  }
+  EXPECT_GT(drained, 0u) << "premise: the stream must still be flowing";
+  EXPECT_GT(work, 0.0);
+  EXPECT_EQ(tl_heap_allocs, before)
+      << "callable drain_until allocated in steady state";
 }
 
 TEST(FleetAlloc, DrainUntilGrowsOnlyToTheHighWaterMark) {

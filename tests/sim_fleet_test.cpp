@@ -5,11 +5,16 @@
 // exists for (pack-and-park beats round-robin at low load).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "sim/fleet.hpp"
 #include "sim/simulate.hpp"
 #include "trace/arrivals.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace eewa::sim {
@@ -229,6 +234,13 @@ TEST(Fleet, ValidatesOptions) {
     o.initial_state = o.ladder.size() + 1;
     EXPECT_THROW(Fleet(o, arr), std::invalid_argument);
   }
+  {
+    // A NaN load would make every arrival time NaN, and the final
+    // epoch's drain-everything pass would never end: rejected up front.
+    auto bad = arr;
+    bad.load = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(Fleet(small_fleet(), bad), std::invalid_argument);
+  }
 }
 
 TEST(Fleet, ArrivalStreamMatchesGenerate) {
@@ -326,6 +338,64 @@ TEST(Fleet, ParallelGoldenPinnedSeed) {
   EXPECT_EQ(r.wakes, 1u);
   EXPECT_NEAR(r.horizon_s, 0.096119446201840528, 1e-15);
   EXPECT_NEAR(r.energy_j, 78.73480106426436, 1e-9);
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+/// Digest of each machine's batch, steal, probe, DVFS-transition, park
+/// and wake counts, in machine order.
+std::uint64_t machine_ledger_digest(const obs::FleetReport& r) {
+  std::uint64_t h = 0;
+  for (const auto& m : r.per_machine) {
+    for (const std::size_t v : {m.batches, m.steals, m.probes,
+                                m.dvfs_transitions, m.parks, m.wakes}) {
+      h = util::mix64(h ^ v);
+    }
+  }
+  return h;
+}
+
+// Bit pins of whole FleetReports, captured before arrivals were routed
+// straight into machine batches: energy, horizon and offered work to the
+// last bit, and every machine's ledgers, for each placement on the
+// serial engine and on four threads.
+TEST(Fleet, ReportBitPinnedPerPlacement) {
+  struct Pin {
+    const char* placement;
+    std::uint64_t energy_bits, horizon_bits, offered_work_bits, ledgers;
+  };
+  const Pin pins[] = {
+      {"pack", 0x406915f3eb7bae4full, 0x3fc016140fd4504cull,
+       0x3ff4ae42410d0f85ull, 0x99ae1dedb15f8e13ull},
+      {"least-loaded", 0x4062181a498d98c4ull, 0x3fb9b02c3adf715bull,
+       0x3ff4ae42410d0f85ull, 0xbf3e7e17b4b6d723ull},
+      {"round-robin", 0x40621f97695c1339ull, 0x3fb9b3ed0966a0cdull,
+       0x3ff4ae42410d0f85ull, 0x4e1c700b67f01f3aull},
+  };
+  auto arr = small_arrivals(32);
+  arr.load = 0.4;
+  arr.duration_s = 0.1;
+  for (const auto& pin : pins) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(pin.placement) + " threads=" +
+                   std::to_string(threads));
+      auto opts = small_fleet(8, 4);
+      opts.placement = pin.placement;
+      opts.threads = threads;
+      const auto r = Fleet(opts, arr).run();
+      if (std::string(pin.placement) == "pack") {
+        EXPECT_GT(r.wakes, 0u) << "premise: pack must park and wake";
+      }
+      EXPECT_EQ(bits_of(r.energy_j), pin.energy_bits);
+      EXPECT_EQ(bits_of(r.horizon_s), pin.horizon_bits);
+      EXPECT_EQ(bits_of(r.offered_work_s), pin.offered_work_bits);
+      EXPECT_EQ(machine_ledger_digest(r), pin.ledgers);
+    }
+  }
 }
 
 TEST(Fleet, ValidatesThreadCount) {

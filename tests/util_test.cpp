@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <set>
 #include <stdexcept>
@@ -84,6 +85,26 @@ TEST(Xoshiro256, LognormalMeanCvMatches) {
   for (int i = 0; i < 100000; ++i) s.add(rng.lognormal_mean_cv(10.0, 0.5));
   EXPECT_NEAR(s.mean(), 10.0, 0.3);
   EXPECT_NEAR(s.cv(), 0.5, 0.05);
+}
+
+TEST(Xoshiro256, CachedLognormalParamsMatchMeanCvBitwise) {
+  // lognormal(mu, sigma) on cached parameters must draw exactly the bits
+  // lognormal_mean_cv does, from identically seeded generators.
+  Xoshiro256 a(17), b(17);
+  for (const double mean : {1e-6, 80e-6, 0.37, 1.0, 250.0}) {
+    for (const double cv : {1e-3, 0.2, 0.3, 0.5, 1.0, 3.0}) {
+      const auto p = Xoshiro256::lognormal_params(mean, cv);
+      for (int i = 0; i < 200; ++i) {
+        const double x = a.lognormal_mean_cv(mean, cv);
+        const double y = b.lognormal(p.mu, p.sigma);
+        std::uint64_t bx, by;
+        std::memcpy(&bx, &x, sizeof bx);
+        std::memcpy(&by, &y, sizeof by);
+        ASSERT_EQ(bx, by) << "mean " << mean << " cv " << cv << " draw " << i;
+      }
+    }
+  }
+  EXPECT_EQ(a.next(), b.next()) << "both paths must consume equal draws";
 }
 
 TEST(Xoshiro256, NormalMoments) {

@@ -146,4 +146,22 @@ class MachineTopology {
   std::vector<std::vector<std::size_t>> row_of_;
 };
 
+/// Eq. 1 effective slowdown of a task that ran at `rung` on a core of
+/// type `core_type`, relative to the globally fastest operating point.
+/// Only the frequency-scaled fraction of its time stretches, so the
+/// result is `alpha + (1 - alpha) * slowdown`, where slowdown is
+/// `row_slowdown(row_of(core_type, rung))` on a typed machine and
+/// `ladder.slowdown(rung)` when `topology` is null. A measured time
+/// divided by it is the task's F0-normalized workload.
+inline double effective_slowdown(const MachineTopology* topology,
+                                 const dvfs::FrequencyLadder& ladder,
+                                 std::size_t core_type, std::size_t rung,
+                                 double alpha) {
+  const double slowdown =
+      topology != nullptr
+          ? topology->row_slowdown(topology->row_of(core_type, rung))
+          : ladder.slowdown(rung);
+  return alpha + (1.0 - alpha) * slowdown;
+}
+
 }  // namespace eewa::core

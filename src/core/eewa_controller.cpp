@@ -32,15 +32,11 @@ void EewaController::begin_batch() {
 void EewaController::record_task(std::size_t class_id, double exec_time_s,
                                  std::size_t rung, double cmi, double alpha,
                                  std::size_t core_type) {
-  // Eq. 1 normalization, generalized for memory stalls: only the
-  // frequency-scaled fraction of the time shrinks at F0. On typed
+  // Eq. 1 normalization, generalized for memory stalls. On typed
   // machines the slowdown is relative to the globally fastest row, so
   // workloads recorded on different clusters stay comparable.
-  const MachineTopology* topo = options_.adjuster.topology.get();
-  const double slowdown =
-      topo != nullptr ? topo->row_slowdown(topo->row_of(core_type, rung))
-                      : ladder().slowdown(rung);
-  const double eff = alpha + (1.0 - alpha) * slowdown;
+  const double eff = effective_slowdown(options_.adjuster.topology.get(),
+                                        ladder(), core_type, rung, alpha);
   registry_.record(class_id, exec_time_s / eff, alpha);
   // Counters are sampled every batch so the §IV-D gate can track phase
   // changes, not just the measurement batch's verdict.
@@ -107,41 +103,8 @@ const FrequencyPlan& EewaController::end_batch(double batch_makespan_s) {
     prefs_ = PreferenceTable(plan_.layout);
     plan_basis_valid_ = false;
   } else {
-    const auto profile = registry_.iteration_profile();
-    if (options_.plan_reuse_enabled && plan_reusable_for(profile)) {
-      // Profile statistically unchanged since the current plan's search:
-      // Algorithm 1 would reproduce the same k-tuple, so keep the plan
-      // (and its preference lists) and skip the backtracking entirely.
-      ++plans_reused_;
-    } else {
-      searched = true;
-      // The previous adjustment (its CC table, search and plan) is dead
-      // once a new search starts; dropping it first keeps one CC table
-      // alive at a time instead of two.
-      last_ = Adjustment{};
-      const std::size_t keep =
-          options_.plan_reuse_enabled && options_.incremental_replan_enabled
-              ? stable_prefix_len(profile)
-              : 0;
-      if (keep > 0) {
-        // Only a suffix of the class order drifted: pin the stable
-        // prefix's rungs and re-search the rest of the lattice. The
-        // adjuster re-validates the prefix against the fresh CC table
-        // and falls back to a full search if a spike broke it.
-        const std::vector<std::size_t> prefix(
-            plan_basis_tuple_.begin(),
-            plan_basis_tuple_.begin() + static_cast<std::ptrdiff_t>(keep));
-        last_ = adjuster_.adjust_incremental(
-            profile, registry_.class_count(), ideal_time_s_, prefix);
-        if (last_.incremental) ++plans_incremental_;
-      } else {
-        last_ = adjuster_.adjust(profile, registry_.class_count(),
-                                 ideal_time_s_);
-      }
-      plan_ = last_.plan;
-      prefs_ = PreferenceTable(plan_.layout);
-      save_plan_basis(profile);
-    }
+    searched = replan(registry_.iteration_profile(), registry_.class_count(),
+                      ideal_time_s_);
   }
   // The whole end-of-batch pipeline (profile sort, CC build, search, plan,
   // preference lists) is the adjuster overhead Table III reports.
@@ -175,12 +138,50 @@ bool within_tolerance(double fresh, double basis, double tol) {
 
 }  // namespace
 
+bool EewaController::replan(const std::vector<ClassProfile>& profile,
+                            std::size_t class_count, double ideal_time_s) {
+  if (options_.plan_reuse_enabled &&
+      plan_reusable_for(profile, ideal_time_s)) {
+    // Profile statistically unchanged since the current plan's search:
+    // Algorithm 1 would reproduce the same k-tuple, so keep the plan
+    // (and its preference lists) and skip the search entirely.
+    ++plans_reused_;
+    return false;
+  }
+  // The previous adjustment (its CC table, search and plan) is dead
+  // once a new search starts; dropping it first keeps one CC table
+  // alive at a time instead of two.
+  last_ = Adjustment{};
+  const std::size_t keep =
+      options_.plan_reuse_enabled && options_.incremental_replan_enabled
+          ? stable_prefix_len(profile, ideal_time_s)
+          : 0;
+  if (keep > 0) {
+    // Only a suffix of the class order drifted: pin the stable prefix's
+    // rungs and re-search the rest of the lattice. The adjuster
+    // re-validates the prefix against the fresh CC table and falls back
+    // to a full search if a spike broke it.
+    const std::vector<std::size_t> prefix(
+        plan_basis_tuple_.begin(),
+        plan_basis_tuple_.begin() + static_cast<std::ptrdiff_t>(keep));
+    last_ = adjuster_.adjust_incremental(profile, class_count, ideal_time_s,
+                                         prefix);
+    if (last_.incremental) ++plans_incremental_;
+  } else {
+    last_ = adjuster_.adjust(profile, class_count, ideal_time_s);
+  }
+  plan_ = last_.plan;
+  prefs_ = PreferenceTable(plan_.layout);
+  save_plan_basis(profile, class_count, ideal_time_s);
+  return true;
+}
+
 bool EewaController::plan_reusable_for(
-    const std::vector<ClassProfile>& profile) const {
+    const std::vector<ClassProfile>& profile, double ideal_time_s) const {
   if (!plan_basis_valid_ || profile.empty()) return false;
-  // T moved (kRollingMin ratchet): the search target changed even if the
-  // per-class means did not.
-  if (ideal_time_s_ != plan_basis_ideal_s_) return false;
+  // T moved (kRollingMin ratchet, a service window still filling): the
+  // search target changed even if the per-class means did not.
+  if (ideal_time_s != plan_basis_ideal_s_) return false;
   // Same set of active classes, every mean AND max within tolerance.
   // The max matters because rung feasibility is gated on the heaviest
   // task (critical path): a single workload spike can invalidate the
@@ -208,9 +209,9 @@ bool EewaController::plan_reusable_for(
 }
 
 std::size_t EewaController::stable_prefix_len(
-    const std::vector<ClassProfile>& profile) const {
+    const std::vector<ClassProfile>& profile, double ideal_time_s) const {
   if (!plan_basis_valid_ || plan_basis_tuple_.empty()) return 0;
-  if (ideal_time_s_ != plan_basis_ideal_s_) return 0;
+  if (ideal_time_s != plan_basis_ideal_s_) return 0;
   const std::size_t limit =
       std::min(profile.size(), plan_basis_order_.size());
   for (std::size_t i = 0; i < limit; ++i) {
@@ -230,9 +231,10 @@ std::size_t EewaController::stable_prefix_len(
 }
 
 void EewaController::save_plan_basis(
-    const std::vector<ClassProfile>& profile) {
-  plan_basis_means_.assign(registry_.class_count(), kInactive);
-  plan_basis_max_.assign(registry_.class_count(), kInactive);
+    const std::vector<ClassProfile>& profile, std::size_t class_count,
+    double ideal_time_s) {
+  plan_basis_means_.assign(class_count, kInactive);
+  plan_basis_max_.assign(class_count, kInactive);
   plan_basis_order_.clear();
   plan_basis_order_.reserve(profile.size());
   for (const auto& c : profile) {
@@ -246,7 +248,7 @@ void EewaController::save_plan_basis(
                               last_.search.tuple.size() == profile.size()
                           ? last_.search.tuple
                           : std::vector<std::size_t>{};
-  plan_basis_ideal_s_ = ideal_time_s_;
+  plan_basis_ideal_s_ = ideal_time_s;
   plan_basis_valid_ = !profile.empty();
 }
 

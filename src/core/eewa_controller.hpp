@@ -10,10 +10,13 @@
 //            replans for the next.
 //
 // The controller is the single integration point shared by the real
-// thread runtime and the simulator. It is not thread-safe: producers
-// aggregate observations and feed them from one thread (the runtime
-// merges per-worker profiles at the batch barrier; the simulator is
-// single-threaded by construction).
+// thread runtime and the simulator, and the only planning loop: the
+// runtime's service mode runs one per service through replan() and
+// apply_supervised() on its planner thread. It is not thread-safe:
+// producers aggregate observations and feed them from one thread (the
+// runtime merges per-worker profiles at the batch barrier; the service
+// planner owns its controller; the simulator is single-threaded by
+// construction).
 #pragma once
 
 #include <cstddef>
@@ -129,6 +132,20 @@ class EewaController {
   /// the plan for the next batch. Returns that plan.
   const FrequencyPlan& end_batch(double batch_makespan_s);
 
+  /// Plan from `profile` (sorted by mean workload descending, the CC
+  /// column order) against ideal time `ideal_time_s`, for `class_count`
+  /// classes. Keeps the current plan when the profile is statistically
+  /// unchanged since its search (plan reuse), re-searches only the
+  /// drifted suffix when a prefix of the class order is stable
+  /// (incremental re-planning), and searches in full otherwise; an
+  /// empty profile yields the uniform F0 plan. Updates plan(),
+  /// preferences() and the plan basis, and actuates nothing.
+  /// end_batch() calls it with the batch profile and T; the runtime's
+  /// service planner calls it every epoch with its sliding window.
+  /// Returns true when a search ran.
+  bool replan(const std::vector<ClassProfile>& profile,
+              std::size_t class_count, double ideal_time_s);
+
   /// The plan the *next* batch should run under.
   const FrequencyPlan& plan() const { return plan_; }
 
@@ -155,6 +172,15 @@ class EewaController {
   /// Report task exceptions observed in the running batch; enough of
   /// them trip the watchdog into degraded mode.
   void note_task_failures(std::size_t count);
+
+  /// Trip degraded mode now: plan() becomes the uniform all-F0 plan,
+  /// which end_batch() keeps for the rest of the run (a caller of
+  /// replan() checks degraded() itself). With a backend, the safe
+  /// configuration is pushed to it (supervised, counted in health()
+  /// writes/retries/write_failures) and the plan is reconciled around
+  /// any core that still cannot switch, so plan() then describes the
+  /// rungs the push reached.
+  void degrade(dvfs::DvfsBackend* backend);
 
   /// Fault-tolerance counters (retries, reconciliations, degradations).
   const HealthReport& health() const { return health_; }
@@ -213,14 +239,15 @@ class EewaController {
   const TaskClassRegistry& registry() const { return registry_; }
 
  private:
-  void degrade(dvfs::DvfsBackend* backend);
-  bool plan_reusable_for(const std::vector<ClassProfile>& profile) const;
+  bool plan_reusable_for(const std::vector<ClassProfile>& profile,
+                         double ideal_time_s) const;
   /// Longest prefix of `profile` whose classes sit in the same sorted
   /// positions as the plan basis with mean/max drift within tolerance.
   /// 0 when there is no basis tuple or T moved.
-  std::size_t stable_prefix_len(
-      const std::vector<ClassProfile>& profile) const;
-  void save_plan_basis(const std::vector<ClassProfile>& profile);
+  std::size_t stable_prefix_len(const std::vector<ClassProfile>& profile,
+                                double ideal_time_s) const;
+  void save_plan_basis(const std::vector<ClassProfile>& profile,
+                       std::size_t class_count, double ideal_time_s);
 
   Adjuster adjuster_;
   ControllerOptions options_;

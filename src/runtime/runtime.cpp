@@ -8,7 +8,6 @@
 #include "util/fast_clock.hpp"
 #include "util/rng.hpp"
 
-#include "core/adjuster.hpp"
 #include "core/preference_list.hpp"
 #include "core/wats_allocation.hpp"
 #include "util/cpu_affinity.hpp"
@@ -62,6 +61,10 @@ struct Runtime::ServiceState {
   /// capacities.
   std::vector<std::vector<ServiceNode*>> freelists;
   std::vector<std::size_t> rr;  ///< dispatcher round-robin cursors
+  /// The planner's controller: plan reuse, suffix or full search,
+  /// supervised actuation, reconcile, degrade. Only the planner thread
+  /// touches it once the service runs.
+  core::EewaController ctrl;
 
   std::atomic<bool> accepting{false};
   std::atomic<bool> dispatcher_stop{false};
@@ -80,7 +83,8 @@ struct Runtime::ServiceState {
 
   ServiceState(const ServiceOptions& o, std::size_t workers,
                std::vector<std::size_t> sla, std::vector<std::uint8_t> decl,
-               std::size_t classes)
+               std::size_t classes, const dvfs::FrequencyLadder& ladder,
+               const core::ControllerOptions& planner_opts)
       : opts(o),
         declared(std::move(decl)),
         class_count(classes),
@@ -89,7 +93,8 @@ struct Runtime::ServiceState {
                   o.queue_capacity),
         publisher(workers + 1, workers),
         worker_snap(workers),
-        freelists(workers) {
+        freelists(workers),
+        ctrl(ladder, workers, planner_opts) {
     for (std::size_t w = 0; w < workers; ++w) {
       inboxes.push_back(
           std::make_unique<SpscRing<ServiceItem>>(o.inbox_capacity));
@@ -411,7 +416,6 @@ void Runtime::finish_batch(double makespan_s) {
     recorded_.batches.emplace_back();
     recording = &recorded_.batches.back();
   }
-  const auto& ladder = options_.ladder;
   // Worker w profiles core w: on a typed topology its observations are
   // attributed to that core's type so the typed CC table normalizes
   // them against the right cluster's rows.
@@ -429,8 +433,8 @@ void Runtime::finish_batch(double makespan_s) {
       if (recording != nullptr) {
         // Normalized (F0) workload via the alpha-corrected Eq. 1 — the
         // simulator's exec-time model inverts this exactly.
-        const double eff =
-            alpha + (1.0 - alpha) * ladder.slowdown(rec.rung);
+        const double eff = core::effective_slowdown(
+            topo, options_.ladder, core_type, rec.rung, alpha);
         recording->tasks.push_back(trace::TraceTask{
             rec.class_id, std::max(rec.exec_s / eff, 1e-9), rec.cmi,
             alpha});
@@ -751,8 +755,18 @@ void Runtime::start_service(ServiceOptions opts) {
     sla[id] = s;
   }
 
+  // The planner runs the batch controller's options with the pruned
+  // search: a re-plan has to fit well inside one epoch.
+  core::ControllerOptions planner_opts = options_.controller;
+  planner_opts.adjuster.search = core::SearchKind::kPruned;
   auto st = std::make_unique<ServiceState>(opts, n, std::move(sla),
-                                           std::move(declared), table);
+                                           std::move(declared), table,
+                                           options_.ladder, planner_opts);
+  // Same class ids in the planner's registry, so a degraded plan covers
+  // every class the runtime knows.
+  for (std::size_t id = 0; id < table; ++id) {
+    st->ctrl.class_id(controller_->registry().name(id));
+  }
   service_metrics_ = std::make_unique<obs::ServiceMetrics>(n, table);
   {
     std::lock_guard<std::mutex> lock(service_report_mu_);
@@ -1174,22 +1188,15 @@ void Runtime::service_worker_loop(std::size_t id, PerfCounters* pmc) {
 
 void Runtime::planner_main() {
   ServiceState& st = *service_;
+  core::EewaController& ctrl = st.ctrl;
   const std::size_t n = pools_.size();
   const double epoch_s = st.opts.epoch_s;
   SlidingProfile sliding(st.opts.profile_window_epochs, st.class_count);
-  // The planner's epoch budget is tighter than the batch barrier's, so
-  // it picks its own searcher (pruned by default) rather than
-  // inheriting the batch controller's.
-  core::AdjusterOptions adj_opts = options_.controller.adjuster;
-  adj_opts.search = st.opts.planner_search;
-  const core::Adjuster adjuster(options_.ladder, n, adj_opts);
-  const core::ActuationSupervisor supervisor(options_.controller.actuation);
-  core::HealthReport health;
+  const core::MachineTopology* topo =
+      options_.controller.adjuster.topology.get();
   obs::EpochReport prev = service_metrics_->snapshot(0, 0.0, 0, 0);
   auto last_publish = Clock::now();
   std::size_t strikes = 0;
-  std::size_t act_failures = 0;
-  bool degraded = false;
   std::uint64_t epoch = 1;
 
   const auto epoch_duration =
@@ -1197,13 +1204,20 @@ void Runtime::planner_main() {
           std::chrono::duration<double>(epoch_s));
   auto deadline = st.t0 + epoch_duration;
 
-  const auto account = [&health](const core::ActuationOutcome& out) {
-    health.writes += out.writes;
-    health.retries += out.retries;
-    health.write_failures += out.write_failures;
-    health.failed_cores += out.failed_cores.size();
-  };
-  const auto trace_rungs = [&](const std::vector<std::size_t>& achieved) {
+  // Publish ctrl.plan() with the per-worker rungs the hardware reached;
+  // false when the publisher rejected it.
+  const auto publish = [&](const std::vector<std::size_t>& achieved,
+                           bool reconciled, bool degraded) {
+    auto snap = PlanSnapshot::build(epoch, ctrl.plan(), achieved, n);
+    snap->reconciled = reconciled;
+    snap->degraded = degraded;
+    if (!st.publisher.publish(std::move(snap))) {
+      service_metrics_->plan_rejects().fetch_add(1,
+                                                 std::memory_order_relaxed);
+      return false;
+    }
+    service_metrics_->plan_publishes().fetch_add(1,
+                                                 std::memory_order_relaxed);
     if (obs::EventTracer* tracer = options_.tracer;
         tracer != nullptr && tracer->enabled()) {
       const double ts = tracer->now_us();
@@ -1212,6 +1226,7 @@ void Runtime::planner_main() {
                      static_cast<std::uint32_t>(achieved[c]));
       }
     }
+    return true;
   };
 
   while (!st.planner_stop.load(std::memory_order_acquire)) {
@@ -1227,57 +1242,38 @@ void Runtime::planner_main() {
 
     // 1. Drain the workers' profile rings into the sliding window,
     // applying the alpha-corrected Eq. 1 normalization per record.
+    // Worker w runs on core w, so its records carry that core's type.
     ProfileRec rec;
     for (std::size_t w = 0; w < n; ++w) {
+      const std::size_t core_type =
+          topo != nullptr && w < topo->total_cores() ? topo->type_of_core(w)
+                                                     : 0;
       while (st.profile_rings[w]->pop(rec)) {
         const double alpha = core::estimate_alpha_from_cmi(rec.cmi);
-        const double eff =
-            alpha + (1.0 - alpha) * options_.ladder.slowdown(rec.rung);
+        const double eff = core::effective_slowdown(
+            topo, options_.ladder, core_type, rec.rung, alpha);
         sliding.record(rec.class_id, std::max(rec.exec_s / eff, 1e-9),
                        alpha);
       }
     }
 
-    // 2. Re-plan off the critical path: Algorithm 1 over the window,
-    // supervised rolling actuation, atomic publication. Workers never
+    // 2. Re-plan off the critical path through the shared controller:
+    // plan reuse, suffix or full search over the window, supervised
+    // actuation with reconciliation, atomic publication. Workers never
     // stop executing while this happens.
-    if (st.opts.planner_enabled && !degraded) {
-      core::FrequencyPlan plan;
-      auto profile = sliding.profile();
-      if (profile.empty()) {
-        plan = core::uniform_plan(n, st.class_count);
-      } else {
-        // T = the window the profile spans: demand is work per window,
-        // capacity is cores x window. An overloaded window fails the
-        // search and falls back to uniform F0 — full capacity is the
-        // correct overload response, distinct from watchdog degrade.
-        const double window_s =
-            epoch_s * static_cast<double>(sliding.filled_epochs());
-        plan = adjuster.adjust(std::move(profile), st.class_count, window_s)
-                   .plan;
-      }
-      const core::ActuationOutcome outcome =
-          supervisor.apply(plan, *backend_);
-      account(outcome);
-      bool reconciled = false;
-      if (!outcome.ok()) {
-        ++act_failures;
-        plan = core::reconcile_plan(plan, outcome.achieved);
-        ++health.reconciliations;
-        reconciled = true;
-      } else {
-        act_failures = 0;
-      }
-      if (act_failures >= st.opts.max_actuation_failures) {
-        degraded = true;
-      } else {
-        auto snap = PlanSnapshot::build(epoch, std::move(plan),
-                                        outcome.achieved, n);
-        snap->reconciled = reconciled;
-        if (st.publisher.publish(std::move(snap))) {
-          service_metrics_->plan_publishes().fetch_add(
-              1, std::memory_order_relaxed);
-          trace_rungs(outcome.achieved);
+    if (st.opts.planner_enabled && !ctrl.degraded()) {
+      // T = the window the profile spans: demand is work per window,
+      // capacity is cores x window. An overloaded window fails the
+      // search and falls back to uniform F0 — full capacity is the
+      // correct overload response, distinct from watchdog degrade.
+      const double window_s =
+          epoch_s * static_cast<double>(sliding.filled_epochs());
+      ctrl.replan(sliding.profile(), st.class_count, window_s);
+      const core::ActuationOutcome& outcome = ctrl.apply_supervised(*backend_);
+      // Enough consecutive actuation failures degrade inside
+      // apply_supervised (the controller's watchdog threshold).
+      if (!ctrl.degraded()) {
+        if (publish(outcome.achieved, !outcome.ok(), false)) {
           const auto now = Clock::now();
           const double gap =
               std::chrono::duration<double>(now - last_publish).count();
@@ -1293,33 +1289,21 @@ void Runtime::planner_main() {
             strikes = 0;
           }
         } else {
-          service_metrics_->plan_rejects().fetch_add(
-              1, std::memory_order_relaxed);
           ++strikes;
         }
-        if (strikes >= st.opts.max_staleness_strikes) degraded = true;
+        if (strikes >= st.opts.max_staleness_strikes) ctrl.degrade(backend_);
       }
-      if (degraded && !health.degraded) {
-        // Watchdog escalation, same safe state as the batch controller's
-        // degraded mode: whole machine at F0, one group, planning off.
-        health.degraded = true;
-        ++health.degradations;
-        core::FrequencyPlan safe = core::uniform_plan(n, st.class_count);
-        const core::ActuationOutcome safe_out =
-            supervisor.apply(safe, *backend_);
-        account(safe_out);
-        auto snap = PlanSnapshot::build(epoch, std::move(safe),
-                                        safe_out.achieved, n);
-        snap->degraded = true;
-        if (st.publisher.publish(std::move(snap))) {
-          service_metrics_->plan_publishes().fetch_add(
-              1, std::memory_order_relaxed);
-          trace_rungs(safe_out.achieved);
-        } else {
-          service_metrics_->plan_rejects().fetch_add(
-              1, std::memory_order_relaxed);
+      if (ctrl.degraded()) {
+        // Watchdog escalation: degrade pushed the whole machine to F0
+        // and reconciled around any core that stayed behind; publish
+        // that safe configuration with the rungs it reached. Planning
+        // stays off for the rest of the run.
+        std::vector<std::size_t> reached(
+            std::min(n, backend_->core_count()));
+        for (std::size_t c = 0; c < reached.size(); ++c) {
+          reached[c] = backend_->frequency_index(c);
         }
-        last_publish = Clock::now();
+        publish(reached, false, true);
       }
     }
 
@@ -1332,11 +1316,11 @@ void Runtime::planner_main() {
         st.in_flight.load(std::memory_order_relaxed));
     obs::EpochReport delta = obs::ServiceMetrics::delta(cum, prev);
     prev = cum;
-    health.task_exceptions = static_cast<std::size_t>(cum.failed);
     {
       std::lock_guard<std::mutex> lock(service_report_mu_);
       service_reports_.push_back(std::move(delta));
-      service_health_ = health;
+      service_health_ = ctrl.health();
+      service_health_.task_exceptions = static_cast<std::size_t>(cum.failed);
     }
     sliding.rotate();
     ++epoch;
@@ -1344,8 +1328,6 @@ void Runtime::planner_main() {
     const auto now = Clock::now();
     if (deadline < now) deadline = now;  // overran: don't spiral
   }
-  std::lock_guard<std::mutex> lock(service_report_mu_);
-  service_health_ = health;
 }
 
 bool Runtime::drain_service(double timeout_s) {

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/ktuple_search.hpp"
 #include "core/task_class.hpp"
 
 namespace eewa::rt {
@@ -63,7 +62,10 @@ struct ServiceOptions {
   std::size_t high_watermark = 0;
   AdmissionPolicy policy = AdmissionPolicy::kShedLowestSla;
   /// Planner epoch length. Every epoch the planner drains the profile
-  /// rings, re-plans, actuates and publishes.
+  /// rings, re-plans, actuates and publishes. It plans through a
+  /// core::EewaController built from RuntimeOptions::controller with the
+  /// pruned search, whose watchdog also sets how many consecutive failed
+  /// actuations degrade the service.
   double epoch_s = 0.005;
   /// Sliding profile window, in epochs.
   std::size_t profile_window_epochs = 4;
@@ -73,19 +75,10 @@ struct ServiceOptions {
   /// Consecutive staleness events (or plan-publish rejects) before the
   /// watchdog gives up on planning and degrades to uniform F0.
   std::size_t max_staleness_strikes = 3;
-  /// Consecutive failed actuations before degrading (mirrors
-  /// core::WatchdogOptions::max_consecutive_actuation_failures).
-  std::size_t max_actuation_failures = 3;
   /// False = never search or actuate: the service runs the whole time
   /// under the uniform-F0 single-group plan (the work-stealing
   /// baseline for bench_service_traffic).
   bool planner_enabled = true;
-  /// Searcher the planner epoch runs. Defaults to the pruned/DP search:
-  /// optimal like exhaustive but sub-millisecond at production scale
-  /// (r=16, k=256), so a re-plan stays well inside one epoch and the
-  /// staleness watchdog has headroom. Overrides the batch-mode
-  /// controller.adjuster.search for the planner thread only.
-  core::SearchKind planner_search = core::SearchKind::kPruned;
   /// Classes served; must cover every class submitted.
   std::vector<ServiceClassConfig> classes;
   /// Optional hook invoked (on the dispatcher or a submitter thread)

@@ -464,6 +464,19 @@ std::unique_ptr<Policy> make_policy(
   throw std::invalid_argument("make_policy: unknown policy " + name);
 }
 
+namespace {
+
+/// place() answers from the index begin_epoch() built over these views.
+void require_index(std::size_t indexed,
+                   const std::vector<MachineView>& views) {
+  if (indexed != views.size() || views.empty()) {
+    throw std::logic_error(
+        "FleetPlacement::place: call begin_epoch() over these views first");
+  }
+}
+
+}  // namespace
+
 std::size_t RoundRobinPlacement::place(double,
                                        const std::vector<MachineView>& views) {
   const std::size_t pick = cursor_ % views.size();
@@ -484,21 +497,8 @@ void LeastLoadedPlacement::update(std::size_t i,
 
 std::size_t LeastLoadedPlacement::place(
     double, const std::vector<MachineView>& views) {
-  // Indexed fast path: the tree's tie-to-left rule returns the same
-  // lowest-index minimum the scan below finds.
-  if (cost_.size() == views.size() && !views.empty()) {
-    return cost_.winner();
-  }
-  std::size_t best = 0;
-  double best_cost = views[0].backlog_s + views[0].wake_latency_s;
-  for (std::size_t i = 1; i < views.size(); ++i) {
-    const double cost = views[i].backlog_s + views[i].wake_latency_s;
-    if (cost < best_cost) {
-      best = i;
-      best_cost = cost;
-    }
-  }
-  return best;
+  require_index(cost_.size(), views);
+  return cost_.winner();
 }
 
 void PackAndParkPlacement::begin_epoch(
@@ -527,45 +527,20 @@ void PackAndParkPlacement::update(std::size_t i,
 
 std::size_t PackAndParkPlacement::place(
     double, const std::vector<MachineView>& views) {
-  if (packable_.size() == views.size() && !views.empty()) {
-    // Indexed fast path: same three tiers, each answered in O(1) from a
-    // tree repaired in O(log M) per update.
-    if (const std::size_t w = packable_.winner();
-        w != decltype(packable_)::kNone) {
-      return w;
-    }
-    if (const std::size_t w = sleepers_.winner();
-        w != decltype(sleepers_)::kNone) {
-      return w;
-    }
-    return cost_.winner();
-  }
+  require_index(packable_.size(), views);
   // Densest-first: among powered machines below the fill line, the one
   // with the most backlog keeps the working set smallest.
-  std::size_t pick = views.size();
-  double pick_backlog = -1.0;
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    const auto& v = views[i];
-    if (v.powered && v.backlog_s < fill_s_ && v.backlog_s > pick_backlog) {
-      pick = i;
-      pick_backlog = v.backlog_s;
-    }
+  if (const std::size_t w = packable_.winner();
+      w != decltype(packable_)::kNone) {
+    return w;
   }
-  if (pick < views.size()) return pick;
   // Every powered machine is full: open the shallowest sleeper.
-  double pick_latency = 0.0;
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    const auto& v = views[i];
-    if (!v.powered &&
-        (pick == views.size() || v.wake_latency_s < pick_latency)) {
-      pick = i;
-      pick_latency = v.wake_latency_s;
-    }
+  if (const std::size_t w = sleepers_.winner();
+      w != decltype(sleepers_)::kNone) {
+    return w;
   }
-  if (pick < views.size()) return pick;
   // Nothing parked either: spill to the least-loaded machine.
-  LeastLoadedPlacement fallback;
-  return fallback.place(0.0, views);
+  return cost_.winner();
 }
 
 std::unique_ptr<FleetPlacement> make_placement(const std::string& name,

@@ -225,14 +225,13 @@ struct MachineView {
 
 /// Routes arriving tasks to machines.
 ///
-/// Two usage modes. The legacy mode is a bare `place(work_s, views)`
-/// per arrival, which scans views in O(M). The indexed mode is the
-/// fleet's hot path: `begin_epoch(views)` once after the per-epoch view
-/// refresh builds an internal index, each `place` answers from the
-/// index in O(log M), and `update(i, views)` repairs the index after
-/// the fleet mutates views[i] (staging work, starting a wake). Both
-/// modes return identical picks — the index encodes the same
-/// first-strictly-better tie rule the scans use.
+/// Contract: call `begin_epoch(views)` after every view refresh, then
+/// `place` once per arrival and `update(i, views)` whenever the caller
+/// mutates views[i] (staging work, starting a wake). `begin_epoch`
+/// builds an index that `place` answers from in O(log M) and `update`
+/// repairs in O(log M). Ties go to the lowest machine index. Calling
+/// `place` on indexed placements without a `begin_epoch` over views of
+/// the same size throws std::logic_error.
 class FleetPlacement {
  public:
   virtual ~FleetPlacement() = default;
@@ -241,10 +240,9 @@ class FleetPlacement {
   /// `views` is kept current by the fleet between calls.
   virtual std::size_t place(double work_s,
                             const std::vector<MachineView>& views) = 0;
-  /// Build the O(log M) index over `views`. Without this call, place()
-  /// falls back to the linear scan. Call again whenever views were
-  /// changed outside update()'s knowledge (the fleet calls it once per
-  /// epoch, right after refreshing every view).
+  /// Build the O(log M) index over `views`. Call again whenever views
+  /// were changed outside update()'s knowledge (the fleet calls it once
+  /// per epoch, right after refreshing every view).
   virtual void begin_epoch(const std::vector<MachineView>& views) {
     (void)views;
   }

@@ -334,6 +334,35 @@ TEST(EewaController, SuffixDriftReplansIncrementally) {
   EXPECT_EQ(ctrl.last_search().tuple[0], first_tuple[0]);
 }
 
+TEST(EewaController, ReplanFromAnExternalProfile) {
+  // The service planner calls replan() directly with its own window
+  // profile and T, outside any batch: the same reuse and suffix rules
+  // apply, and T is the caller's, not the batch ideal time.
+  EewaController ctrl(kLadder, 16);
+  const auto profile = [](double light_w) {
+    ClassProfile heavy{0, "heavy", 8, 0.5, 0.5, 0.0};
+    ClassProfile light{1, "light", 8, light_w, light_w, 0.0};
+    return std::vector<ClassProfile>{heavy, light};
+  };
+  EXPECT_TRUE(ctrl.replan(profile(0.10), 2, 2.0));
+  EXPECT_TRUE(ctrl.plan().planned);
+  EXPECT_EQ(ctrl.plan().layout.class_count(), 2u);
+  EXPECT_FALSE(ctrl.replan(profile(0.10), 2, 2.0));
+  EXPECT_EQ(ctrl.plans_reused(), 1u);
+  // Only the lighter class drifted: the heavy prefix keeps its rung.
+  EXPECT_TRUE(ctrl.replan(profile(0.20), 2, 2.0));
+  EXPECT_EQ(ctrl.plans_incremental(), 1u);
+  // A new T invalidates reuse even for an unchanged profile.
+  EXPECT_TRUE(ctrl.replan(profile(0.20), 2, 3.0));
+  EXPECT_EQ(ctrl.plans_reused(), 1u);
+  EXPECT_EQ(ctrl.plans_incremental(), 1u);
+  // An empty window plans uniform F0.
+  EXPECT_TRUE(ctrl.replan({}, 2, 3.0));
+  EXPECT_FALSE(ctrl.plan().planned);
+  EXPECT_EQ(ctrl.plan().layout.group_count(), 1u);
+  EXPECT_EQ(ctrl.batches_completed(), 0u);
+}
+
 TEST(EewaController, DriftedClassMergingIntoGroupInvalidatesSuffix) {
   // Regression for the incremental path: when a drifted class's new
   // statistics would merge it into another class's c-group, everything

@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "core/actuation.hpp"
 #include "core/cc_table.hpp"
@@ -436,6 +437,39 @@ TEST(TypedMachine, ExecutesAndChargesPerCoreModels) {
   EXPECT_GT(r1.time_s, 0.0);
   EXPECT_EQ(r1.time_s, r2.time_s);
   EXPECT_EQ(r1.energy_j, r2.energy_j);
+}
+
+TEST(TypedNormalization, LittleRungsDivideByTheirOwnRowSlowdown) {
+  // Eq. 1 on a typed machine divides a measured time by the executing
+  // core's own row slowdown. Reading a LITTLE core through the reference
+  // (big) ladder instead would make its tasks look 2.2-2.6x heavier.
+  auto topo = std::make_shared<const MachineTopology>(
+      MachineTopology::big_little());
+  core::ControllerOptions copts;
+  copts.adjuster.topology = topo;
+  core::EewaController ctrl(kOpteron, topo->total_cores(), copts);
+  ctrl.begin_batch();
+  constexpr double kAlpha = 0.25;
+  constexpr double kExecS = 1e-3;
+  const std::size_t little = 1;
+  for (std::size_t j = 0; j < topo->type(little).ladder.size(); ++j) {
+    const double row = topo->row_slowdown(topo->row_of(little, j));
+    EXPECT_EQ(core::effective_slowdown(topo.get(), kOpteron, little, j, 0.0),
+              row);
+    EXPECT_GT(row, 2.0 * kOpteron.slowdown(j)) << "rung " << j;
+    const double eff =
+        core::effective_slowdown(topo.get(), kOpteron, little, j, kAlpha);
+    EXPECT_EQ(eff, kAlpha + (1.0 - kAlpha) * row);
+    // The controller's record_task normalizes through the same function.
+    const std::size_t id = ctrl.class_id("little_rung_" + std::to_string(j));
+    ctrl.record_task(id, kExecS, j, 0.0, kAlpha, little);
+    EXPECT_EQ(ctrl.registry().max_workload(id), kExecS / eff) << "rung " << j;
+  }
+  // Untyped machines fall back to the ladder's F0/Fj.
+  for (std::size_t j = 0; j < kOpteron.size(); ++j) {
+    EXPECT_EQ(core::effective_slowdown(nullptr, kOpteron, 0, j, 0.0),
+              kOpteron.slowdown(j));
+  }
 }
 
 TEST(TypedMachine, ValidatesTopologyAgainstOptions) {

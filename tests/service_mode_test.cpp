@@ -13,6 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/core_type.hpp"
+#include "dvfs/fault_backend.hpp"
+#include "dvfs/trace_backend.hpp"
 #include "obs/service_metrics.hpp"
 #include "runtime/ingress.hpp"
 #include "runtime/runtime.hpp"
@@ -495,6 +498,81 @@ TEST(ServiceMode, StalenessWatchdogDegradesToUniform) {
   EXPECT_TRUE(health.degraded);
   EXPECT_GE(health.degradations, 1u);
   EXPECT_GT(report.staleness_events, 0u);
+  EXPECT_EQ(report.reconcile_slack(), 0u) << report.to_string();
+}
+
+TEST(ServiceMode, StuckCoreReconcilesThenDegrades) {
+  // The last core never leaves F0, while a light load makes every plan
+  // park cores at slower rungs: each epoch's actuation misses a target.
+  // The planner must reconcile every miss, degrade after the watchdog's
+  // consecutive-failure threshold (3 by default), report the core stuck,
+  // and still drain with exact accounting.
+  constexpr std::size_t kWorkers = 4;
+  RuntimeOptions opts = small_options(kWorkers);
+  dvfs::TraceBackend inner(opts.ladder, kWorkers);
+  dvfs::FaultSpec spec;
+  spec.stuck_cores = {kWorkers - 1};
+  dvfs::FaultInjectingBackend faulty(inner, spec);
+  opts.backend = &faulty;
+  Runtime rt(opts);
+  ServiceOptions so;
+  so.classes = {{"light", 1}};
+  so.epoch_s = 0.002;
+  // Only actuation failures may degrade this run, not host stalls.
+  so.max_staleness_strikes = 1000;
+  rt.start_service(so);
+  const ClassHandle light = rt.handle("light");
+  const auto t0 = std::chrono::steady_clock::now();
+  while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       t0)
+             .count() < 0.2) {
+    rt.submit(light, TaskFn([] {}));
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_TRUE(rt.drain_service(10.0));
+  const obs::EpochReport report = rt.stop_service();
+  const core::HealthReport health = rt.service_health();
+  EXPECT_GE(health.reconciliations, 3u) << health.to_string();
+  EXPECT_GE(health.failed_cores, 3u) << health.to_string();
+  EXPECT_TRUE(health.degraded) << health.to_string();
+  EXPECT_EQ(health.degradations, 1u) << health.to_string();
+  EXPECT_GE(health.stuck_cores, 1u) << health.to_string();
+  EXPECT_EQ(report.reconcile_slack(), 0u) << report.to_string();
+}
+
+TEST(ServiceMode, BigLittleServiceDrainsAndReconciles) {
+  // Service mode on a typed machine: the planner normalizes each
+  // worker's records by its own core type and plans over the typed CC
+  // table.
+  auto topo = std::make_shared<const core::MachineTopology>(
+      core::MachineTopology::big_little());
+  RuntimeOptions opts = small_options(topo->total_cores());
+  opts.controller.adjuster.topology = topo;
+  Runtime rt(opts);
+  ServiceOptions so;
+  so.classes = {{"heavy", 1}, {"light", 2}};
+  so.epoch_s = 0.002;
+  rt.start_service(so);
+  const ClassHandle heavy = rt.handle("heavy");
+  const ClassHandle light = rt.handle("light");
+  std::atomic<std::uint64_t> ran{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       t0)
+             .count() < 0.15) {
+    for (const ClassHandle h : {heavy, light}) {
+      rt.submit(h, TaskFn([&ran] {
+                  ran.fetch_add(1, std::memory_order_relaxed);
+                }));
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_TRUE(rt.drain_service(20.0));
+  EXPECT_GT(rt.plan_epochs_published(), 2u);
+  const obs::EpochReport report = rt.stop_service();
+  EXPECT_EQ(ran.load(), report.executed);
+  EXPECT_EQ(report.pending, 0u);
+  EXPECT_EQ(report.in_flight, 0u);
   EXPECT_EQ(report.reconcile_slack(), 0u) << report.to_string();
 }
 

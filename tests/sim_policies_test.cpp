@@ -5,6 +5,11 @@
 // small, deterministic instances.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "sim/policies.hpp"
 #include "sim/simulate.hpp"
 #include "trace/synthetic.hpp"
@@ -239,49 +244,105 @@ TEST(EewaSim, MoreCoresMoreSavings) {
   EXPECT_GT(s16, 0.05);
 }
 
-// The indexed (tournament-tree) placement mode must return the same
-// pick as the legacy linear scan on every call — same argmin/argmax,
-// same ties-to-lowest-index rule — under epoch-style churn: views
+// Reference O(M) scans for the indexed placements: the first strictly
+// better machine wins, so ties go to the lowest index.
+std::size_t scan_least_loaded(const std::vector<MachineView>& views) {
+  std::size_t best = 0;
+  double best_cost = views[0].backlog_s + views[0].wake_latency_s;
+  for (std::size_t i = 1; i < views.size(); ++i) {
+    const double cost = views[i].backlog_s + views[i].wake_latency_s;
+    if (cost < best_cost) {
+      best = i;
+      best_cost = cost;
+    }
+  }
+  return best;
+}
+
+std::size_t scan_pack(double fill_s, const std::vector<MachineView>& views) {
+  // Densest powered machine below the fill line...
+  std::size_t pick = views.size();
+  double pick_backlog = -1.0;
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const auto& v = views[i];
+    if (v.powered && v.backlog_s < fill_s && v.backlog_s > pick_backlog) {
+      pick = i;
+      pick_backlog = v.backlog_s;
+    }
+  }
+  if (pick < views.size()) return pick;
+  // ...else the shallowest sleeper...
+  double pick_latency = 0.0;
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const auto& v = views[i];
+    if (!v.powered &&
+        (pick == views.size() || v.wake_latency_s < pick_latency)) {
+      pick = i;
+      pick_latency = v.wake_latency_s;
+    }
+  }
+  if (pick < views.size()) return pick;
+  // ...else spill to the least-loaded machine.
+  return scan_least_loaded(views);
+}
+
+// The indexed (tournament-tree) placements must return the same pick as
+// the reference scans on every call — same argmin/argmax, same
+// ties-to-lowest-index rule — under epoch-style churn: views
 // re-randomized per epoch (begin_epoch), then mutated pick-by-pick the
 // way Fleet::run stages work and starts wakes (update).
 TEST(FleetPlacement, IndexedModeMatchesLinearScan) {
+  constexpr double kFill = 0.04;
   for (const char* name : {"least-loaded", "pack"}) {
-    auto indexed = make_placement(name, 0.04);
-    auto scan = make_placement(name, 0.04);
+    const bool pack = std::string(name) == "pack";
+    auto indexed = make_placement(name, kFill);
     util::Xoshiro256 rng(11);
     const std::size_t m = 23;  // not a power of two
-    std::vector<MachineView> vi(m), vs(m);
+    std::vector<MachineView> views(m);
     for (int epoch = 0; epoch < 40; ++epoch) {
-      for (std::size_t i = 0; i < m; ++i) {
-        MachineView v;
+      for (auto& v : views) {
         v.powered = rng.chance(0.7);
         // Coarse grid => frequent exact ties, the risky case.
         v.backlog_s = 0.01 * std::floor(rng.uniform() * 8.0);
         v.sleep_state = v.powered ? 0 : (rng.uniform() < 0.5 ? 0 : 2);
         v.wake_latency_s = v.powered ? 0.0 : 0.001 * (v.sleep_state + 1);
         if (!v.powered) v.backlog_s = 0.0;
-        vi[i] = vs[i] = v;
       }
-      indexed->begin_epoch(vi);
+      indexed->begin_epoch(views);
       for (int task = 0; task < 64; ++task) {
         const double work = rng.uniform() * 0.01;
-        const std::size_t a = indexed->place(work, vi);
-        const std::size_t b = scan->place(work, vs);
+        const std::size_t a = indexed->place(work, views);
+        const std::size_t b =
+            pack ? scan_pack(kFill, views) : scan_least_loaded(views);
         ASSERT_EQ(a, b) << name << " epoch " << epoch << " task " << task;
-        for (auto* views : {&vi, &vs}) {
-          auto& v = (*views)[a];
-          if (!v.powered) {
-            v.powered = true;
-            v.backlog_s += v.wake_latency_s;
-            v.wake_latency_s = 0.0;
-            v.sleep_state = 0;
-          }
-          v.backlog_s += work / 4.0;
+        auto& v = views[a];
+        if (!v.powered) {
+          v.powered = true;
+          v.backlog_s += v.wake_latency_s;
+          v.wake_latency_s = 0.0;
+          v.sleep_state = 0;
         }
-        indexed->update(a, vi);
+        v.backlog_s += work / 4.0;
+        indexed->update(a, views);
       }
     }
   }
+}
+
+TEST(FleetPlacement, PlaceBeforeBeginEpochThrows) {
+  const std::vector<MachineView> views(4);
+  for (const char* name : {"least-loaded", "pack"}) {
+    auto placement = make_placement(name, 0.04);
+    EXPECT_THROW(placement->place(0.001, views), std::logic_error) << name;
+    placement->begin_epoch(views);
+    EXPECT_EQ(placement->place(0.001, views), 0u) << name;
+    // An index built over a different machine count is stale too.
+    EXPECT_THROW(placement->place(0.001, std::vector<MachineView>(5)),
+                 std::logic_error)
+        << name;
+  }
+  // Round-robin keeps no index and never needs one.
+  EXPECT_EQ(make_placement("round-robin", 0.04)->place(0.001, views), 0u);
 }
 
 }  // namespace

@@ -41,6 +41,7 @@ std::string EpochReport::to_string() const {
      << " admitted=" << admitted << " shed=" << shed
      << " deferred=" << deferred << " spawned=" << spawned
      << " executed=" << executed << " failed=" << failed
+     << " probes=" << probes << " failed_sweeps=" << failed_sweeps
      << " pending=" << pending << " in_flight=" << in_flight
      << " depth_hwm=" << queue_depth_hwm << " publishes=" << plan_publishes
      << " staleness=" << staleness_events << " p50=" << p50_sojourn_us
@@ -96,6 +97,8 @@ EpochReport ServiceMetrics::snapshot(std::uint64_t epoch, double span_s,
     r.pops += w->pops.load(std::memory_order_relaxed);
     r.steals += w->steals.load(std::memory_order_relaxed);
     r.robs += w->robs.load(std::memory_order_relaxed);
+    r.probes += w->probes.load(std::memory_order_relaxed);
+    r.failed_sweeps += w->failed_sweeps.load(std::memory_order_relaxed);
     r.spawned += w->spawned.load(std::memory_order_relaxed);
     for (std::size_t b = 0; b < kExecBuckets; ++b) {
       hist[b] += w->sojourn_hist[b].load(std::memory_order_relaxed);
@@ -140,6 +143,8 @@ EpochReport ServiceMetrics::delta(const EpochReport& now,
   d.pops -= prev.pops;
   d.steals -= prev.steals;
   d.robs -= prev.robs;
+  d.probes -= prev.probes;
+  d.failed_sweeps -= prev.failed_sweeps;
   for (std::size_t c = 0; c < d.classes.size(); ++c) {
     if (c >= prev.classes.size()) break;
     d.classes[c].offered -= prev.classes[c].offered;

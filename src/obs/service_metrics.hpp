@@ -58,13 +58,15 @@ struct ServiceWorkerCounters {
   std::atomic<std::uint64_t> pops{0};
   std::atomic<std::uint64_t> steals{0};  ///< within own c-group
   std::atomic<std::uint64_t> robs{0};    ///< cross-group
+  std::atomic<std::uint64_t> probes{0};  ///< victim probes, hit or miss
+  std::atomic<std::uint64_t> failed_sweeps{0};  ///< steal sweeps that gave up
   std::atomic<std::uint64_t> spawned{0};
   /// Sojourn (submit → completion) log2-microsecond histogram, same
   /// bucketing as ClassExecStats (exec_bucket()).
   std::atomic<std::uint64_t> sojourn_hist[kExecBuckets] = {};
 
-  void bump(std::atomic<std::uint64_t>& c) {
-    c.store(c.load(std::memory_order_relaxed) + 1,
+  void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
+    c.store(c.load(std::memory_order_relaxed) + n,
             std::memory_order_relaxed);
   }
 };
@@ -83,6 +85,8 @@ struct EpochReport {
   std::uint64_t pops = 0;
   std::uint64_t steals = 0;
   std::uint64_t robs = 0;
+  std::uint64_t probes = 0;     ///< victim probes, hit or miss
+  std::uint64_t failed_sweeps = 0;  ///< steal sweeps that probed, gave up
   std::uint64_t pending = 0;    ///< ingress ring + staging, at snapshot
   std::uint64_t in_flight = 0;  ///< admitted+spawned not yet executed
   std::uint64_t queue_depth_hwm = 0;  ///< high-water queue depth so far

@@ -74,7 +74,7 @@ class BoundedMpscQueue {
 
   /// Consumer side (one thread only). False when empty.
   bool pop(T& out) {
-    const std::size_t pos = head_;
+    const std::size_t pos = head_.load(std::memory_order_relaxed);
     Cell& cell = cells_[pos & mask_];
     const std::size_t seq = cell.seq.load(std::memory_order_acquire);
     if (static_cast<std::intptr_t>(seq) !=
@@ -82,15 +82,20 @@ class BoundedMpscQueue {
       return false;
     }
     out = std::move(cell.value);
+    // head_ moves before the cell is handed back to producers, so
+    // size_approx() never reads more than capacity() items.
+    head_.store(pos + 1, std::memory_order_release);
     cell.seq.store(pos + mask_ + 1, std::memory_order_release);
-    head_ = pos + 1;
     return true;
   }
 
-  /// Approximate occupancy (exact only when producers are quiet).
+  /// Approximate occupancy (exact only when producers are quiet). Any
+  /// thread may call it: head_ is atomic so readers off the consumer
+  /// thread (drain_service, idle parkers) do not race the pop.
   std::size_t size_approx() const {
     const std::size_t tail = tail_.load(std::memory_order_acquire);
-    return tail >= head_ ? tail - head_ : 0;
+    const std::size_t head = head_.load(std::memory_order_acquire);
+    return tail >= head ? tail - head : 0;
   }
 
  private:
@@ -102,7 +107,9 @@ class BoundedMpscQueue {
   const std::size_t mask_;
   std::unique_ptr<Cell[]> cells_;
   alignas(util::kCacheLine) std::atomic<std::size_t> tail_{0};
-  alignas(util::kCacheLine) std::size_t head_ = 0;  // consumer-owned
+  // Written only by the consumer; atomic because size_approx() reads it
+  // from other threads.
+  alignas(util::kCacheLine) std::atomic<std::size_t> head_{0};
 };
 
 /// Bounded single-producer single-consumer ring. The dispatcher (sole

@@ -62,6 +62,15 @@ struct PlanSnapshot {
   /// group_workers lists, and preference lists cover every group.
   bool valid(std::size_t workers) const;
 
+  /// C-group a task of `class_id` is queued in under this plan; ids the
+  /// layout does not map (and groups past group_workers) go to group 0.
+  std::size_t group_of(std::size_t class_id) const {
+    const std::size_t g = class_id < plan.layout.class_count()
+                              ? plan.layout.group_of_class(class_id)
+                              : 0;
+    return g < group_workers.size() ? g : 0;
+  }
+
   /// Build a snapshot from a plan (post-actuation) for `workers`
   /// workers with the given achieved rungs.
   static std::unique_ptr<PlanSnapshot> build(

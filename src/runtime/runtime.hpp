@@ -244,13 +244,32 @@ class Runtime {
     std::vector<std::unique_ptr<ChaseLevDeque<Task*>>> deques;
   };
 
+  // The worker core both modes run (paper Fig. 4). A sink says where
+  // counts and profile records go (BatchSink / ServiceSink, runtime.cpp).
+  // acquire() pops, steals and robs down `order`, then does the same for
+  // groups [order.size(), sweep_end).
+  struct BatchSink;
+  struct ServiceSink;
+  template <typename Sink>
+  std::optional<Task*> acquire(std::size_t id, std::size_t my_group,
+                               const std::vector<std::size_t>& order,
+                               std::size_t sweep_end, Sink& sink);
+  template <typename Sink>
+  std::optional<Task*> steal(std::size_t id, std::size_t group, bool cross,
+                             Sink& sink);
+  template <typename Sink>
+  void execute(std::size_t id, Task* task, std::size_t rung,
+               PerfCounters* pmc, Sink& sink);
+
   void worker_main(std::size_t id);
-  bool run_one_task(std::size_t id, PerfCounters* pmc);
-  std::optional<Task*> acquire(std::size_t id);
-  std::optional<Task*> steal_from_group(std::size_t id, std::size_t group);
+  // The generation gate: start every worker's next loop (batch or
+  // service), then wait for all of them to leave it.
+  void release_workers();
+  void await_workers();
+  bool run_one_task(std::size_t id, PerfCounters* pmc, BatchSink& sink);
+  void reset_pools();  ///< reclaim deque rings, zero group counts (parked)
   void prepare_batch(std::vector<TaskDesc>& tasks);
   void finish_batch(double makespan_s);
-  std::size_t group_of_worker(std::size_t id) const;
 
   // Service-mode internals.
   struct ServiceItem {
@@ -260,7 +279,7 @@ class Runtime {
     std::uint64_t submit_ticks = 0;
   };
   // A service task's identity while it lives in a deque. Task must stay
-  // the first member: the deques carry Task*, and run_service_task
+  // the first member: the deques carry Task*, and the service worker
   // recovers the node by pointer identity.
   struct ServiceNode {
     Task task;
@@ -278,17 +297,12 @@ class Runtime {
   void service_worker_loop(std::size_t id, PerfCounters* pmc);
   void dispatcher_main();
   void planner_main();
-  std::optional<Task*> service_acquire(std::size_t id,
-                                       const PlanSnapshot* snap);
-  std::optional<Task*> service_steal(std::size_t id, std::size_t group,
-                                     bool cross,
-                                     obs::ServiceWorkerCounters& wc);
   bool dispatch_item(ServiceItem& item, const PlanSnapshot* snap);
-  void run_service_task(std::size_t id, Task* task, std::size_t rung,
-                        PerfCounters* pmc);
-  ServiceNode* alloc_service_node(std::size_t id);
+  /// A filled envelope from worker `id`'s recycle list (new when empty).
+  ServiceNode* alloc_service_node(std::size_t id, std::size_t class_id,
+                                  TaskFn&& fn, std::uint64_t tag,
+                                  std::uint64_t submit_ticks);
   void service_shed(std::size_t class_id, std::uint64_t tag);
-  obs::EpochReport service_snapshot_unlocked() const;
 
   // Deep-sleep wakeup (shared by batch and service idle loops): workers
   // park on a condvar once the idle ramp hits its cap; producers wake

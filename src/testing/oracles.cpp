@@ -443,6 +443,13 @@ CheckResult check_runtime(const WorkloadSpec& spec) {
                static_cast<unsigned long long>(rep.acquires()),
                static_cast<unsigned long long>(rep.tasks)));
     }
+    if (rep.probes < rep.local_steals + rep.cross_robs) {
+      return CheckResult::fail(
+          fmtf("batch %zu: probes=%llu < steals+robs=%llu", b,
+               static_cast<unsigned long long>(rep.probes),
+               static_cast<unsigned long long>(rep.local_steals +
+                                               rep.cross_robs)));
+    }
 
     // Exact per-class execution counts.
     auto class_count = [&rep](std::size_t id) -> std::uint64_t {
@@ -603,6 +610,11 @@ CheckResult check_service(const ServiceSpec& spec) {
   }
   if (report.reconcile_slack() != 0) {
     return CheckResult::fail("final report does not reconcile: " +
+                             report.to_string());
+  }
+  // The shared worker core counts a probe for every steal attempt.
+  if (report.probes < report.steals + report.robs) {
+    return CheckResult::fail("fewer probes than steals + robs: " +
                              report.to_string());
   }
   if (report.deferred != backpressured) {

@@ -5,6 +5,7 @@
 // arrival-wakeup latency bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -104,6 +105,33 @@ TEST(IngressRing, SpscOrderAndCapacity) {
     ASSERT_TRUE(r.pop(out));
     EXPECT_EQ(out, want);
   }
+}
+
+// size_approx() is read off the consumer thread (drain_service polls it
+// from the caller, idle parkers from their own threads) while the
+// dispatcher pops: under TSan this is the ingress ring's race check.
+TEST(IngressRing, SizeApproxWhileConsumerPops) {
+  constexpr std::uint64_t kItems = 20000;
+  BoundedMpscQueue<std::uint64_t> q(256);
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> popped{0};
+  std::thread consumer([&] {
+    std::uint64_t out = 0;
+    while (!done.load(std::memory_order_acquire) || q.size_approx() > 0) {
+      if (q.pop(out)) popped.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::uint64_t pushed = 0;
+  std::size_t max_seen = 0;
+  for (std::uint64_t i = 0; i < kItems; ++i) {
+    if (q.push(std::uint64_t(i))) ++pushed;
+    max_seen = std::max(max_seen, q.size_approx());
+  }
+  done.store(true, std::memory_order_release);
+  consumer.join();
+  EXPECT_LE(max_seen, q.capacity());
+  EXPECT_EQ(popped.load(), pushed);
+  EXPECT_EQ(q.size_approx(), 0u);
 }
 
 TEST(Admission, ShedLowestSlaThresholdsAreTiered) {
@@ -440,6 +468,36 @@ TEST(ServiceMode, SpawnedTasksAreCountedAndRun) {
   EXPECT_EQ(report.reconcile_slack(), 0u) << report.to_string();
 }
 
+// Service mode counts steal probes and failed sweeps through the same
+// sink path batch mode uses, so the two modes' steal hit rates compare.
+TEST(ServiceMode, StealProbesCoverEveryStealAndRob) {
+  Runtime rt(small_options(4));
+  ServiceOptions so;
+  so.classes = {{"parent", 1}, {"child", 1}};
+  rt.start_service(so);
+  const ClassHandle parent = rt.handle("parent");
+  const ClassHandle child = rt.handle("child");
+  std::atomic<std::uint64_t> children{0};
+  Runtime* rtp = &rt;
+  // Each parent fans out onto its own worker's deque: idle peers steal.
+  for (std::size_t i = 0; i < 200; ++i) {
+    rt.submit(parent, TaskFn([rtp, child, &children] {
+                for (int c = 0; c < 16; ++c) {
+                  rtp->spawn(child, TaskFn([&children] {
+                               children.fetch_add(
+                                   1, std::memory_order_relaxed);
+                             }));
+                }
+              }));
+  }
+  ASSERT_TRUE(rt.drain_service(20.0));
+  const obs::EpochReport report = rt.stop_service();
+  EXPECT_EQ(children.load(), report.spawned);
+  EXPECT_EQ(report.reconcile_slack(), 0u) << report.to_string();
+  EXPECT_GE(report.probes, report.steals + report.robs)
+      << report.to_string();
+}
+
 TEST(ServiceMode, PlannerPublishesEpochsAndRecordsReports) {
   Runtime rt(small_options(4));
   ServiceOptions so;
@@ -654,7 +712,16 @@ TEST(ServiceMetrics, EpochDeltaSubtractsCumulatives) {
   b.shed = 7;
   b.span_s = 3.0;
   b.classes[0].offered = 150;
+  b.probes = 30;
+  b.failed_sweeps = 4;
+  a.probes = 12;
+  a.failed_sweeps = 1;
   const obs::EpochReport d = obs::ServiceMetrics::delta(b, a);
+  EXPECT_EQ(d.probes, 18u);
+  EXPECT_EQ(d.failed_sweeps, 3u);
+  EXPECT_NE(d.to_string().find("probes=18 failed_sweeps=3"),
+            std::string::npos)
+      << d.to_string();
   EXPECT_EQ(d.offered, 50u);
   EXPECT_EQ(d.executed, 50u);
   EXPECT_EQ(d.shed, 2u);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/intern_table.hpp"
+#include "obs/service_metrics.hpp"
 #include "runtime/chase_lev_deque.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/task.hpp"
@@ -307,6 +308,70 @@ TEST(SpawnPath, SteadyStateSpawnIsAllocationFree) {
       << "steady-state spawn() touched the heap";
   EXPECT_EQ(rt::TaskFn::heap_fallbacks().load(std::memory_order_relaxed),
             fallbacks_before);
+}
+
+// The service-mode twin: spawn() takes its envelope from the worker's
+// recycle list, so a burst that replays the previous one allocates
+// nothing inside spawn(). A gate task holds the single worker: the roots
+// are submitted once it runs and it is released once all four sit in the
+// inbox, so the worker drains them in one chunk, which makes both bursts
+// run the same LIFO order and need the same envelopes.
+TEST(SpawnPath, ServiceSteadyStateSpawnIsAllocationFree) {
+  rt::Runtime runtime(storm_options(1, rt::SchedulerKind::kEewa));
+  rt::ServiceOptions so;
+  so.classes = {{"storm", 1}, {"gate", 1}};
+  so.planner_enabled = false;
+  runtime.start_service(so);
+  std::atomic<std::uint64_t> leaves{0};
+  std::atomic<std::uint64_t> worker_allocs{0};
+  StormCtx ctx{&runtime, runtime.handle("storm"), &leaves, &worker_allocs};
+  const rt::ClassHandle gate = runtime.handle("gate");
+  constexpr std::uint32_t kDepth = 7;
+  constexpr std::size_t kRoots = 4;
+
+  const auto burst = [&] {
+    leaves.store(0);
+    worker_allocs.store(0);
+    std::atomic<bool> gate_running{false};
+    std::atomic<bool> gate_open{false};
+    const std::uint64_t admitted_before = runtime.service_snapshot().admitted;
+    const rt::SubmitResult gated =
+        runtime.submit(gate, [&gate_running, &gate_open] {
+          gate_running.store(true, std::memory_order_release);
+          while (!gate_open.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+        });
+    ASSERT_EQ(gated, rt::SubmitResult::kQueued);
+    // Roots that reached the inbox with the gate would be drained with it
+    // and run ahead of it, in an order that varies between bursts.
+    while (!gate_running.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    for (auto& root : storm_roots(ctx, kRoots, kDepth)) {
+      ASSERT_EQ(runtime.submit(ctx.handle, std::move(root.fn)),
+                rt::SubmitResult::kQueued);
+    }
+    while (runtime.service_snapshot().admitted < admitted_before + 1 + kRoots) {
+      std::this_thread::yield();
+    }
+    gate_open.store(true, std::memory_order_release);
+    ASSERT_TRUE(runtime.drain_service(20.0));
+    EXPECT_EQ(leaves.load(), kRoots << kDepth);
+  };
+
+  // Warmup burst: grows the recycle list and the deque ring.
+  burst();
+  const std::uint64_t fallbacks_before =
+      rt::TaskFn::heap_fallbacks().load(std::memory_order_relaxed);
+  burst();
+  EXPECT_EQ(worker_allocs.load(), 0u)
+      << "steady-state service spawn() touched the heap";
+  EXPECT_EQ(rt::TaskFn::heap_fallbacks().load(std::memory_order_relaxed),
+            fallbacks_before);
+  const obs::EpochReport report = runtime.stop_service();
+  EXPECT_EQ(report.spawned, 2 * kRoots * ((1ull << (kDepth + 1)) - 2));
+  EXPECT_EQ(report.reconcile_slack(), 0u) << report.to_string();
 }
 
 // All workers spawning recursively at once, repeatedly; the batch-report

@@ -45,6 +45,58 @@ TEST(TaskTrace, ValidationCatchesBadTasks) {
   EXPECT_THROW(t.validate(), std::invalid_argument);
 }
 
+/// A one-task trace whose task is `task`.
+TaskTrace one_task_trace(TraceTask task) {
+  TaskTrace t;
+  t.class_names = {"a"};
+  t.batches.resize(1);
+  t.batches[0].tasks = {task};
+  return t;
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(TaskTraceValidation, RejectsInfiniteWork) {
+  EXPECT_THROW(one_task_trace({0, kInf, 0, 0}).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(one_task_trace({0, kNan, 0, 0}).validate(),
+               std::invalid_argument);
+}
+
+TEST(TaskTraceValidation, RejectsNaNMemAlpha) {
+  EXPECT_THROW(one_task_trace({0, 1.0, 0, kNan}).validate(),
+               std::invalid_argument);
+}
+
+TEST(TaskTraceValidation, RejectsNonFiniteCmi) {
+  EXPECT_THROW(one_task_trace({0, 1.0, kNan, 0}).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(one_task_trace({0, 1.0, kInf, 0}).validate(),
+               std::invalid_argument);
+}
+
+TEST(TaskTraceValidation, RejectsNonFiniteRelease) {
+  EXPECT_THROW(one_task_trace({0, 1.0, 0, 0, kNan}).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(one_task_trace({0, 1.0, 0, 0, kInf}).validate(),
+               std::invalid_argument);
+  EXPECT_NO_THROW(one_task_trace({0, 1.0, 0, 0, 0.5}).validate());
+}
+
+TEST(TaskTraceValidation, FromCsvRejectsNaNFields) {
+  const std::string header = "batch,class,work_s,cmi,mem_alpha,release_s\n";
+  EXPECT_THROW(TaskTrace::from_csv(header + "0,a,1.0,0,nan,0\n", "x"),
+               std::invalid_argument);
+  EXPECT_THROW(TaskTrace::from_csv(header + "0,a,inf,0,0,0\n", "x"),
+               std::invalid_argument);
+  EXPECT_THROW(TaskTrace::from_csv(header + "0,a,1.0,nan,0,0\n", "x"),
+               std::invalid_argument);
+  EXPECT_THROW(TaskTrace::from_csv(header + "0,a,1.0,0,0,nan\n", "x"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(TaskTrace::from_csv(header + "0,a,1.0,0,0,0\n", "x"));
+}
+
 TEST(TaskTrace, CsvHasHeaderAndOneRowPerTask) {
   TaskTrace t;
   t.name = "x";
@@ -277,9 +329,6 @@ void expect_rejected(const ArrivalSpec& spec) {
   EXPECT_THROW(ArrivalStream{spec}, std::invalid_argument);
   EXPECT_THROW(generate_arrivals(spec), std::invalid_argument);
 }
-
-constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(ArrivalStreamValidation, RejectsNonFiniteLoad) {
   auto spec = pin_spec(ArrivalKind::kSteady, true);

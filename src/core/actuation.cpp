@@ -22,22 +22,31 @@ std::string HealthReport::to_string() const {
 
 ActuationOutcome ActuationSupervisor::apply(const FrequencyPlan& plan,
                                             dvfs::DvfsBackend& backend) const {
-  const std::size_t n = backend.core_count();
   ActuationOutcome out;
+  apply(plan, backend, out);
+  return out;
+}
+
+void ActuationSupervisor::apply(const FrequencyPlan& plan,
+                                dvfs::DvfsBackend& backend,
+                                ActuationOutcome& out) const {
+  const std::size_t n = backend.core_count();
   out.target.assign(n, 0);
-  std::vector<bool> wanted(n, false);
+  out.failed_cores.clear();
+  out.writes = 0;
+  out.retries = 0;
+  out.write_failures = 0;
+  out.backoff_s = 0.0;
   for (const auto& g : plan.layout.groups()) {
     for (std::size_t c : g.cores) {
-      if (c < n) {
-        out.target[c] = g.freq_index;
-        wanted[c] = true;
-      }
+      if (c < n) out.target[c] = g.freq_index;
     }
   }
 
   const std::size_t attempts = std::max<std::size_t>(1, options_.max_attempts);
   for (std::size_t c = 0; c < n; ++c) {
-    if (!wanted[c]) continue;
+    // Cores no group holds are not driven.
+    if (!plan.layout.core_assigned(c)) continue;
     double backoff = options_.backoff_base_s;
     bool landed = false;
     for (std::size_t attempt = 0; attempt < attempts && !landed; ++attempt) {
@@ -64,7 +73,6 @@ ActuationOutcome ActuationSupervisor::apply(const FrequencyPlan& plan,
   for (std::size_t c = 0; c < n; ++c) {
     out.achieved[c] = backend.frequency_index(c);
   }
-  return out;
 }
 
 FrequencyPlan reconcile_plan(const FrequencyPlan& intended,

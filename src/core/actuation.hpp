@@ -71,6 +71,11 @@ class ActuationSupervisor {
   ActuationOutcome apply(const FrequencyPlan& plan,
                          dvfs::DvfsBackend& backend) const;
 
+  /// apply() into `out`, reusing its vectors (the controller actuates
+  /// every batch this way).
+  void apply(const FrequencyPlan& plan, dvfs::DvfsBackend& backend,
+             ActuationOutcome& out) const;
+
   const ActuationOptions& options() const { return options_; }
 
  private:

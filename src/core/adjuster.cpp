@@ -26,32 +26,59 @@ Adjuster::Adjuster(dvfs::FrequencyLadder ladder, std::size_t total_cores,
   }
 }
 
-CCTable Adjuster::build_cc(std::vector<ClassProfile> classes,
-                           double ideal_time_s) const {
+void Adjuster::run(const std::vector<ClassProfile>& classes,
+                   std::size_t registry_class_count, double ideal_time_s,
+                   const std::vector<std::size_t>* prefix_rungs,
+                   Adjustment& out) const {
+  out.attempted = false;
+  out.incremental = false;
+  if (classes.empty() || ideal_time_s <= 0.0) {
+    // Nothing to plan from: no table, no search.
+    out.cc = CCTable{};
+    out.search = SearchResult{};
+    uniform_plan(total_cores_, registry_class_count, out.plan);
+    return;
+  }
+  out.attempted = true;
+  // The CC table is the profile against T·(1 - time_margin), typed when
+  // a topology is set.
   const double margin = std::clamp(options_.time_margin, 0.0, 0.9);
   const double target_s = ideal_time_s * (1.0 - margin);
-  return options_.topology != nullptr
-             ? CCTable::build_typed(std::move(classes), *options_.topology,
-                                    target_s, options_.memory_aware)
-             : CCTable::build(std::move(classes), ladder_, target_s,
-                              options_.memory_aware);
+  if (options_.topology != nullptr) {
+    out.cc.rebuild_typed(classes, options_.topology, target_s,
+                         options_.memory_aware);
+  } else {
+    out.cc.rebuild(classes, ladder_, target_s, options_.memory_aware);
+  }
+  if (prefix_rungs != nullptr && !prefix_rungs->empty() &&
+      prefix_rungs->size() <= out.cc.cols()) {
+    search_suffix(out.cc, total_cores_, options_.search, *prefix_rungs,
+                  options_.model, out.search);
+    out.incremental = out.search.found;
+  }
+  if (!out.incremental) {
+    // Full plan, or the kept prefix no longer fits the fresh table (a
+    // workload spike broke its rung feasibility or capacity): search
+    // from scratch.
+    search_ktuple(out.cc, total_cores_, options_.search, options_.model,
+                  out.search);
+  }
+  make_frequency_plan(out.cc, out.search, total_cores_, ladder_,
+                      registry_class_count, options_.leftover, out.plan);
 }
 
 Adjustment Adjuster::adjust(std::vector<ClassProfile> classes,
                             std::size_t registry_class_count,
                             double ideal_time_s) const {
   Adjustment out;
-  if (classes.empty() || ideal_time_s <= 0.0) {
-    out.plan = uniform_plan(total_cores_, registry_class_count);
-    return out;
-  }
-  out.attempted = true;
-  out.cc = build_cc(std::move(classes), ideal_time_s);
-  out.search =
-      search_ktuple(out.cc, total_cores_, options_.search, options_.model);
-  out.plan = make_frequency_plan(out.cc, out.search, total_cores_, ladder_,
-                                 registry_class_count, options_.leftover);
+  run(classes, registry_class_count, ideal_time_s, nullptr, out);
   return out;
+}
+
+void Adjuster::adjust(const std::vector<ClassProfile>& classes,
+                      std::size_t registry_class_count, double ideal_time_s,
+                      Adjustment& out) const {
+  run(classes, registry_class_count, ideal_time_s, nullptr, out);
 }
 
 Adjustment Adjuster::adjust_incremental(
@@ -59,26 +86,15 @@ Adjustment Adjuster::adjust_incremental(
     double ideal_time_s,
     const std::vector<std::size_t>& prefix_rungs) const {
   Adjustment out;
-  if (classes.empty() || ideal_time_s <= 0.0) {
-    out.plan = uniform_plan(total_cores_, registry_class_count);
-    return out;
-  }
-  out.attempted = true;
-  out.cc = build_cc(std::move(classes), ideal_time_s);
-  if (!prefix_rungs.empty() && prefix_rungs.size() <= out.cc.cols()) {
-    out.search = search_suffix(out.cc, total_cores_, options_.search,
-                               prefix_rungs, options_.model);
-    out.incremental = out.search.found;
-  }
-  if (!out.incremental) {
-    // The kept prefix no longer fits the fresh table (a workload spike
-    // broke its rung feasibility or capacity) — search from scratch.
-    out.search = search_ktuple(out.cc, total_cores_, options_.search,
-                               options_.model);
-  }
-  out.plan = make_frequency_plan(out.cc, out.search, total_cores_, ladder_,
-                                 registry_class_count, options_.leftover);
+  run(classes, registry_class_count, ideal_time_s, &prefix_rungs, out);
   return out;
+}
+
+void Adjuster::adjust_incremental(
+    const std::vector<ClassProfile>& classes,
+    std::size_t registry_class_count, double ideal_time_s,
+    const std::vector<std::size_t>& prefix_rungs, Adjustment& out) const {
+  run(classes, registry_class_count, ideal_time_s, &prefix_rungs, out);
 }
 
 }  // namespace eewa::core

@@ -45,7 +45,7 @@ struct AdjusterOptions {
 struct Adjustment {
   FrequencyPlan plan;
   SearchResult search;
-  CCTable cc = CCTable::from_matrix({{0.0}});  // replaced on success
+  CCTable cc;  ///< empty unless attempted
   bool attempted = false;  ///< false when there was nothing to plan from
   /// True when the plan came from a suffix search spliced onto a kept
   /// prefix (adjust_incremental's fast path) rather than a full search.
@@ -69,6 +69,13 @@ class Adjuster {
                     std::size_t registry_class_count,
                     double ideal_time_s) const;
 
+  /// adjust() into `out`, reusing its table, search and plan storage:
+  /// the controller plans every batch through this form, and with the
+  /// descent searchers it allocates nothing once the shapes repeat.
+  void adjust(const std::vector<ClassProfile>& classes,
+              std::size_t registry_class_count, double ideal_time_s,
+              Adjustment& out) const;
+
   /// Incremental re-planning: like adjust(), but classes
   /// [0, prefix_rungs.size()) keep their previous rungs verbatim and
   /// only the remaining suffix of the lattice is searched
@@ -84,15 +91,24 @@ class Adjuster {
                                 const std::vector<std::size_t>& prefix_rungs)
       const;
 
+  /// adjust_incremental() into `out`, as the in-place adjust() does.
+  void adjust_incremental(const std::vector<ClassProfile>& classes,
+                          std::size_t registry_class_count,
+                          double ideal_time_s,
+                          const std::vector<std::size_t>& prefix_rungs,
+                          Adjustment& out) const;
+
   const dvfs::FrequencyLadder& ladder() const { return ladder_; }
   std::size_t total_cores() const { return total_cores_; }
   const AdjusterOptions& options() const { return options_; }
 
  private:
-  /// The CC table both pipelines plan from: the profile against
-  /// T·(1 - time_margin), typed when a topology is set.
-  CCTable build_cc(std::vector<ClassProfile> classes,
-                   double ideal_time_s) const;
+  /// Shared pipeline of adjust() and adjust_incremental(): a null
+  /// `prefix_rungs` plans in full.
+  void run(const std::vector<ClassProfile>& classes,
+           std::size_t registry_class_count, double ideal_time_s,
+           const std::vector<std::size_t>* prefix_rungs,
+           Adjustment& out) const;
 
   dvfs::FrequencyLadder ladder_;
   std::size_t total_cores_;

@@ -21,9 +21,8 @@ void CCTable::throw_out_of_range() {
   throw std::out_of_range("CCTable: index out of range");
 }
 
-CCTable CCTable::build(std::vector<ClassProfile> classes,
-                       const dvfs::FrequencyLadder& ladder,
-                       double ideal_time_s, bool memory_aware) {
+void CCTable::check_profile(const std::vector<ClassProfile>& classes,
+                            double ideal_time_s) {
   if (classes.empty()) {
     throw std::invalid_argument("CCTable: no task classes");
   }
@@ -36,51 +35,74 @@ CCTable CCTable::build(std::vector<ClassProfile> classes,
           "CCTable: classes must be sorted by descending mean workload");
     }
   }
-  const std::size_t r = ladder.size();
-  const std::size_t k = classes.size();
-  std::vector<double> data(r * k, 0.0);
+}
+
+template <typename Slowdown>
+void CCTable::fill(std::size_t r, Slowdown slowdown, double ideal_time_s,
+                   bool memory_aware) {
+  const std::size_t k = classes_.size();
+  r_ = r;
+  k_ = k;
+  ideal_time_s_ = ideal_time_s;
+  data_.resize(r * k);
   for (std::size_t i = 0; i < k; ++i) {
-    const double base = classes[i].total_workload() / ideal_time_s;
-    const double alpha = memory_aware ? classes[i].mean_alpha : 0.0;
+    const double base = classes_[i].total_workload() / ideal_time_s;
+    const double alpha = memory_aware ? classes_[i].mean_alpha : 0.0;
     for (std::size_t j = 0; j < r; ++j) {
-      const double eff_slowdown =
-          alpha + (1.0 - alpha) * ladder.slowdown(j);
-      data[j * k + i] = eff_slowdown * base;
+      const double eff_slowdown = alpha + (1.0 - alpha) * slowdown(j);
+      data_[j * k + i] = eff_slowdown * base;
     }
   }
-  return CCTable(r, k, std::move(data), std::move(classes), ideal_time_s);
+  derive_cells();
+}
+
+CCTable CCTable::build(std::vector<ClassProfile> classes,
+                       const dvfs::FrequencyLadder& ladder,
+                       double ideal_time_s, bool memory_aware) {
+  check_profile(classes, ideal_time_s);
+  CCTable table;
+  table.classes_ = std::move(classes);
+  table.fill(
+      ladder.size(), [&](std::size_t j) { return ladder.slowdown(j); },
+      ideal_time_s, memory_aware);
+  return table;
 }
 
 CCTable CCTable::build_typed(std::vector<ClassProfile> classes,
                              const MachineTopology& topology,
                              double ideal_time_s, bool memory_aware) {
-  if (classes.empty()) {
-    throw std::invalid_argument("CCTable: no task classes");
-  }
-  if (ideal_time_s <= 0.0) {
-    throw std::invalid_argument("CCTable: ideal time must be > 0");
-  }
-  for (std::size_t i = 1; i < classes.size(); ++i) {
-    if (classes[i].mean_workload > classes[i - 1].mean_workload) {
-      throw std::invalid_argument(
-          "CCTable: classes must be sorted by descending mean workload");
-    }
-  }
-  const std::size_t r = topology.row_count();
-  const std::size_t k = classes.size();
-  std::vector<double> data(r * k, 0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    const double base = classes[i].total_workload() / ideal_time_s;
-    const double alpha = memory_aware ? classes[i].mean_alpha : 0.0;
-    for (std::size_t j = 0; j < r; ++j) {
-      const double eff_slowdown =
-          alpha + (1.0 - alpha) * topology.row_slowdown(j);
-      data[j * k + i] = eff_slowdown * base;
-    }
-  }
-  CCTable table(r, k, std::move(data), std::move(classes), ideal_time_s);
+  check_profile(classes, ideal_time_s);
+  CCTable table;
+  table.classes_ = std::move(classes);
   table.topology_ = std::make_shared<const MachineTopology>(topology);
+  const MachineTopology& topo = *table.topology_;
+  table.fill(
+      topo.row_count(), [&](std::size_t j) { return topo.row_slowdown(j); },
+      ideal_time_s, memory_aware);
   return table;
+}
+
+void CCTable::rebuild(const std::vector<ClassProfile>& classes,
+                      const dvfs::FrequencyLadder& ladder,
+                      double ideal_time_s, bool memory_aware) {
+  check_profile(classes, ideal_time_s);
+  classes_.assign(classes.begin(), classes.end());
+  topology_.reset();
+  fill(
+      ladder.size(), [&](std::size_t j) { return ladder.slowdown(j); },
+      ideal_time_s, memory_aware);
+}
+
+void CCTable::rebuild_typed(const std::vector<ClassProfile>& classes,
+                            std::shared_ptr<const MachineTopology> topology,
+                            double ideal_time_s, bool memory_aware) {
+  check_profile(classes, ideal_time_s);
+  classes_.assign(classes.begin(), classes.end());
+  topology_ = std::move(topology);
+  const MachineTopology& topo = *topology_;
+  fill(
+      topo.row_count(), [&](std::size_t j) { return topo.row_slowdown(j); },
+      ideal_time_s, memory_aware);
 }
 
 CCTable CCTable::from_matrix(std::vector<std::vector<double>> rows,

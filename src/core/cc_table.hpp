@@ -30,6 +30,10 @@ namespace eewa::core {
 /// Immutable r×k core-count matrix plus the class metadata of its columns.
 class CCTable {
  public:
+  /// An empty 0×0 table: what an adjustment that planned nothing holds.
+  /// Every cell accessor throws on it.
+  CCTable() = default;
+
   /// Build from per-class profiles (must already be sorted by descending
   /// mean workload — TaskClassRegistry::iteration_profile() returns this
   /// order) and the ideal iteration time T (> 0).
@@ -56,6 +60,19 @@ class CCTable {
   static CCTable build_typed(std::vector<ClassProfile> classes,
                              const MachineTopology& topology,
                              double ideal_time_s, bool memory_aware = false);
+
+  /// In-place forms of build() and build_typed(): same table, same
+  /// checks, but the profiles are copied into this table's storage,
+  /// which earlier builds of the same or a larger shape already sized,
+  /// and a typed table shares `topology` instead of copying it. The
+  /// planner rebuilds one table per batch this way. On a throw (the
+  /// same conditions as build()) the table is left unchanged.
+  void rebuild(const std::vector<ClassProfile>& classes,
+               const dvfs::FrequencyLadder& ladder, double ideal_time_s,
+               bool memory_aware = false);
+  void rebuild_typed(const std::vector<ClassProfile>& classes,
+                     std::shared_ptr<const MachineTopology> topology,
+                     double ideal_time_s, bool memory_aware = false);
 
   /// Build directly from a dense matrix (tests / worked examples). `cc`
   /// is row-major r×k. When explicit class metadata is passed, it must
@@ -147,6 +164,16 @@ class CCTable {
  private:
   CCTable(std::size_t r, std::size_t k, std::vector<double> data,
           std::vector<ClassProfile> classes, double ideal_time_s);
+
+  /// The checks build() makes before it touches a table.
+  static void check_profile(const std::vector<ClassProfile>& classes,
+                            double ideal_time_s);
+
+  /// Fill data_ from classes_ for `r` rows, row j scaling by
+  /// slowdown(j), then derive the cells (the body every build shares).
+  template <typename Slowdown>
+  void fill(std::size_t r, Slowdown slowdown, double ideal_time_s,
+            bool memory_aware);
 
   /// Throws std::out_of_range unless (j, i) is a cell of the table.
   void check(std::size_t j, std::size_t i) const {

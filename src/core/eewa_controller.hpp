@@ -256,6 +256,10 @@ class EewaController {
   FrequencyPlan plan_;
   PreferenceTable prefs_;
   Adjustment last_;
+  // Reused every batch: the batch profile end_batch plans from and the
+  // stable prefix a suffix re-plan pins.
+  std::vector<ClassProfile> profile_;
+  std::vector<std::size_t> prefix_;
   double ideal_time_s_ = 0.0;
   std::size_t batches_ = 0;
   bool memory_bound_mode_ = false;

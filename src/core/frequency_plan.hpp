@@ -64,8 +64,22 @@ FrequencyPlan make_frequency_plan(const CCTable& cc, const SearchResult& sr,
                                   LeftoverPolicy policy =
                                       LeftoverPolicy::kParkAtSlowest);
 
+/// make_frequency_plan() into `plan`, reusing its layout and tuple
+/// storage; the carve's per-rung scratch is per thread. The planner
+/// carves every batch this way, allocation-free once the shapes repeat.
+/// On a throw `plan` is left unspecified.
+void make_frequency_plan(const CCTable& cc, const SearchResult& sr,
+                         std::size_t total_cores,
+                         const dvfs::FrequencyLadder& ladder,
+                         std::size_t registry_class_count,
+                         LeftoverPolicy policy, FrequencyPlan& plan);
+
 /// The fallback plan: every core at F_0, every class to group 0.
 FrequencyPlan uniform_plan(std::size_t total_cores,
                            std::size_t registry_class_count);
+
+/// uniform_plan() into `plan`, reusing its storage.
+void uniform_plan(std::size_t total_cores, std::size_t registry_class_count,
+                  FrequencyPlan& plan);
 
 }  // namespace eewa::core

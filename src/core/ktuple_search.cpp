@@ -145,7 +145,7 @@ struct Backtracker {
   const CCTable& cc;
   double total_cores;
   bool allow_backtrack;
-  std::vector<std::size_t> a;
+  std::vector<std::size_t>& a;  ///< the caller's tuple storage
   // Widened: c_n is repeatedly incremented and decremented along the
   // descent; at k=256 double round-off would accumulate into the 1e-9
   // capacity epsilon.
@@ -163,12 +163,14 @@ struct Backtracker {
   const MachineTopology* topo = nullptr;
   std::vector<long double> tused;
 
-  Backtracker(const CCTable& cc_in, std::size_t m, bool backtrack)
+  Backtracker(const CCTable& cc_in, std::size_t m, bool backtrack,
+              std::vector<std::size_t>& tuple)
       : cc(cc_in),
         total_cores(static_cast<double>(m)),
         allow_backtrack(backtrack),
-        a(cc_in.cols(), 0),
+        a(tuple),
         topo(cc_in.topology()) {
+    a.assign(cc_in.cols(), 0);
     if (topo != nullptr) tused.assign(topo->type_count(), 0.0L);
   }
 
@@ -281,19 +283,26 @@ std::optional<PrefixUse> prefix_demand(
   return use;
 }
 
-SearchResult run_descent(const CCTable& cc, std::size_t total_cores,
-                         bool allow_backtrack,
-                         const std::vector<std::size_t>* prefix = nullptr,
-                         std::size_t node_budget = 0) {
+/// The descent searchers, written into `res`: the tuple is descended in
+/// place in res.tuple's storage, so a homogeneous search allocates
+/// nothing once that storage has held a tuple of this width.
+void run_descent(SearchResult& res, const CCTable& cc,
+                 std::size_t total_cores, bool allow_backtrack,
+                 const std::vector<std::size_t>* prefix = nullptr,
+                 std::size_t node_budget = 0) {
   const auto start = Clock::now();
-  Backtracker bt(cc, total_cores, allow_backtrack);
+  res.found = false;
+  res.cores_used = 0;
+  res.nodes_visited = 0;
+  res.aborted = false;
+  Backtracker bt(cc, total_cores, allow_backtrack, res.tuple);
   bt.node_budget = node_budget;
-  SearchResult res;
   if (prefix != nullptr) {
     const auto used0 = prefix_demand(cc, total_cores, *prefix);
     if (!used0) {
+      res.tuple.clear();
       res.elapsed_us = elapsed_us_since(start);
-      return res;
+      return;
     }
     std::copy(prefix->begin(), prefix->end(), bt.a.begin());
     bt.c_n = used0->total;
@@ -305,11 +314,20 @@ SearchResult run_descent(const CCTable& cc, std::size_t total_cores,
   res.nodes_visited = bt.nodes;
   res.aborted = bt.aborted;
   if (res.found) {
-    res.tuple = bt.a;
     res.cores_used = static_cast<std::size_t>(
         std::ceil(static_cast<double>(bt.c_n) - kEps));
+  } else {
+    res.tuple.clear();
   }
   res.elapsed_us = elapsed_us_since(start);
+}
+
+SearchResult run_descent(const CCTable& cc, std::size_t total_cores,
+                         bool allow_backtrack,
+                         const std::vector<std::size_t>* prefix = nullptr,
+                         std::size_t node_budget = 0) {
+  SearchResult res;
+  run_descent(res, cc, total_cores, allow_backtrack, prefix, node_budget);
   return res;
 }
 
@@ -1192,36 +1210,60 @@ SearchResult search_pruned(const CCTable& cc, std::size_t total_cores,
   return pruned_core(cc, total_cores, model, nullptr);
 }
 
+void search_suffix(const CCTable& cc, std::size_t total_cores,
+                   SearchKind kind, const std::vector<std::size_t>& prefix,
+                   const energy::PowerModel* model, SearchResult& out) {
+  switch (kind) {
+    case SearchKind::kBacktracking:
+      run_descent(out, cc, total_cores, /*allow_backtrack=*/true, &prefix);
+      return;
+    case SearchKind::kExhaustive:
+      out = exhaustive_core(cc, total_cores, model, &prefix);
+      return;
+    case SearchKind::kGreedy:
+      run_descent(out, cc, total_cores, /*allow_backtrack=*/false, &prefix);
+      return;
+    case SearchKind::kPruned:
+      out = pruned_core(cc, total_cores, model, &prefix);
+      return;
+  }
+  out = SearchResult{};
+}
+
 SearchResult search_suffix(const CCTable& cc, std::size_t total_cores,
                            SearchKind kind,
                            const std::vector<std::size_t>& prefix,
                            const energy::PowerModel* model) {
+  SearchResult out;
+  search_suffix(cc, total_cores, kind, prefix, model, out);
+  return out;
+}
+
+void search_ktuple(const CCTable& cc, std::size_t total_cores,
+                   SearchKind kind, const energy::PowerModel* model,
+                   SearchResult& out) {
   switch (kind) {
     case SearchKind::kBacktracking:
-      return run_descent(cc, total_cores, /*allow_backtrack=*/true, &prefix);
+      run_descent(out, cc, total_cores, /*allow_backtrack=*/true);
+      return;
     case SearchKind::kExhaustive:
-      return exhaustive_core(cc, total_cores, model, &prefix);
+      out = search_exhaustive(cc, total_cores, model);
+      return;
     case SearchKind::kGreedy:
-      return run_descent(cc, total_cores, /*allow_backtrack=*/false, &prefix);
+      run_descent(out, cc, total_cores, /*allow_backtrack=*/false);
+      return;
     case SearchKind::kPruned:
-      return pruned_core(cc, total_cores, model, &prefix);
+      out = search_pruned(cc, total_cores, model);
+      return;
   }
-  return {};
+  out = SearchResult{};
 }
 
 SearchResult search_ktuple(const CCTable& cc, std::size_t total_cores,
                            SearchKind kind, const energy::PowerModel* model) {
-  switch (kind) {
-    case SearchKind::kBacktracking:
-      return search_backtracking(cc, total_cores);
-    case SearchKind::kExhaustive:
-      return search_exhaustive(cc, total_cores, model);
-    case SearchKind::kGreedy:
-      return search_greedy(cc, total_cores);
-    case SearchKind::kPruned:
-      return search_pruned(cc, total_cores, model);
-  }
-  return {};
+  SearchResult out;
+  search_ktuple(cc, total_cores, kind, model, out);
+  return out;
 }
 
 }  // namespace eewa::core

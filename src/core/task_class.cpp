@@ -52,11 +52,26 @@ void TaskClassRegistry::begin_iteration() {
 
 std::vector<ClassProfile> TaskClassRegistry::iteration_profile() const {
   std::vector<ClassProfile> out;
+  iteration_profile(out);
+  return out;
+}
+
+void TaskClassRegistry::iteration_profile(
+    std::vector<ClassProfile>& out) const {
+  std::size_t active = 0;
+  for (const Stats& s : stats_) active += s.iter_count != 0 ? 1 : 0;
+  out.resize(active);
+  std::size_t n = 0;
   for (std::size_t id = 0; id < stats_.size(); ++id) {
     const Stats& s = stats_[id];
     if (s.iter_count == 0) continue;
-    out.push_back(ClassProfile{id, s.name, s.iter_count, s.mean_w,
-                               s.iter_max_w, s.mean_alpha});
+    ClassProfile& p = out[n++];
+    p.class_id = id;
+    p.name = s.name;  // reuses the slot's string capacity
+    p.count = s.iter_count;
+    p.mean_workload = s.mean_w;
+    p.max_workload = s.iter_max_w;
+    p.mean_alpha = s.mean_alpha;
   }
   std::sort(out.begin(), out.end(),
             [](const ClassProfile& a, const ClassProfile& b) {
@@ -65,7 +80,6 @@ std::vector<ClassProfile> TaskClassRegistry::iteration_profile() const {
               }
               return a.class_id < b.class_id;  // deterministic tie-break
             });
-  return out;
 }
 
 }  // namespace eewa::core

@@ -92,6 +92,10 @@ class TaskClassRegistry {
   /// descending (the CC-table column order the paper requires).
   std::vector<ClassProfile> iteration_profile() const;
 
+  /// iteration_profile() into `out`, reusing its storage (names
+  /// included): allocation-free once `out` has held this many profiles.
+  void iteration_profile(std::vector<ClassProfile>& out) const;
+
  private:
   struct Stats {
     std::string name;

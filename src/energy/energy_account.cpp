@@ -35,6 +35,16 @@ EnergyAccount::EnergyAccount(const PowerModel& model, std::size_t cores,
     throw std::invalid_argument(
         "EnergyAccount: per-core model count does not match cores");
   }
+  power_.assign(cores_ * stride_ * 2, 0.0);
+  rungs_.resize(cores_);
+  for (std::size_t c = 0; c < cores_; ++c) {
+    const PowerModel& pm = core_model(c);
+    rungs_[c] = pm.ladder().size();
+    for (std::size_t j = 0; j < rungs_[c]; ++j) {
+      power_[(c * stride_ + j) * 2] = pm.core_power_w(j, /*active=*/false);
+      power_[(c * stride_ + j) * 2 + 1] = pm.core_power_w(j, /*active=*/true);
+    }
+  }
 }
 
 void EnergyAccount::add_core_time(std::size_t core, double dt,
@@ -42,15 +52,12 @@ void EnergyAccount::add_core_time(std::size_t core, double dt,
   if (dt < 0.0) {
     throw std::invalid_argument("EnergyAccount: negative time segment");
   }
-  if (core >= cores_) {
+  if (core >= cores_ || rung >= rungs_[core]) {
     throw std::out_of_range("EnergyAccount: core or rung out of range");
   }
-  const PowerModel& pm = core_model(core);
-  if (rung >= pm.ladder().size()) {
-    throw std::out_of_range("EnergyAccount: core or rung out of range");
-  }
-  residency_[core * stride_ + rung] += dt;
-  core_j_ += pm.core_power_w(rung, active) * dt;
+  const std::size_t cell = core * stride_ + rung;
+  residency_[cell] += dt;
+  core_j_ += power_[cell * 2 + (active ? 1 : 0)] * dt;
   (active ? active_s_ : halted_s_) += dt;
 }
 

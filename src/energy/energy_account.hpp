@@ -69,6 +69,11 @@ class EnergyAccount {
   std::vector<const PowerModel*> core_models_;  // empty = homogeneous
   std::size_t stride_;             // rung axis = max per-core ladder size
   std::vector<double> residency_;  // cores_ x stride_, row-major
+  // core_power_w of core c's own model at (rung, active), precomputed:
+  // power_[(c * stride_ + rung) * 2 + active]. rungs_[c] is core c's
+  // ladder size (rungs at or past it are out of range).
+  std::vector<double> power_;
+  std::vector<std::size_t> rungs_;
   double core_j_ = 0.0;
   double extra_j_ = 0.0;
   double active_s_ = 0.0;

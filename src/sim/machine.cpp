@@ -1,7 +1,7 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <stdexcept>
 
 namespace eewa::sim {
@@ -56,57 +56,116 @@ Machine::Machine(const SimOptions& options)
   }
 }
 
+struct Machine::NodeStore {
+  std::vector<Node> nodes;  ///< free nodes chain through Node::next
+  std::uint32_t free = kNil;
+  const Machine* owner = nullptr;  ///< whose queued tasks the nodes hold
+};
+
+Machine::NodeStore& Machine::thread_node_store() {
+  thread_local NodeStore store;
+  return store;
+}
+
+Machine::~Machine() {
+  if (store_ != nullptr) release_store();
+}
+
+void Machine::release_store() {
+  store_->nodes.clear();
+  store_->free = kNil;
+  store_->owner = nullptr;
+  store_ = nullptr;
+  queued_ = 0;
+}
+
 void Machine::configure_pools(std::size_t groups) {
   if (groups == 0) {
     throw std::invalid_argument("Machine: need at least one pool group");
   }
-  if (group_count_ == groups && pools_.size() == cores() * groups) {
-    // Same shape as the previous batch (the common fleet case: one
-    // machine runs hundreds of thousands of batches with a fixed class
-    // count) — clear in place and keep each deque's allocated blocks.
-    for (auto& p : pools_) p.clear();
-    std::fill(group_counts_.begin(), group_counts_.end(), 0);
-    return;
-  }
+  if (store_ != nullptr) release_store();  // drops any leftover tasks
+  // Pools are two node indices each: they reallocate only for a shape
+  // larger than any before.
   group_count_ = groups;
-  pools_.assign(cores() * groups, {});
+  pools_.assign(cores() * groups, Pool{});
   group_counts_.assign(groups, 0);
 }
 
 void Machine::push_task(std::size_t core, std::size_t group, TaskId id) {
-  pools_.at(core * group_count_ + group).push_back(id);
-  ++group_counts_.at(group);
+  Pool& p = pool(core, group);
+  std::size_t& count = group_counts_.at(group);
+  if (store_ == nullptr) {
+    NodeStore& s = thread_node_store();
+    if (s.owner != nullptr) {
+      throw std::logic_error(
+          "Machine: another machine's tasks are queued on this thread");
+    }
+    s.owner = this;
+    store_ = &s;
+  }
+  std::vector<Node>& nodes = store_->nodes;
+  std::uint32_t node = store_->free;
+  if (node != kNil) {
+    store_->free = nodes[node].next;
+  } else {
+    if (nodes.size() >= kNil) {
+      throw std::length_error("Machine: too many queued tasks");
+    }
+    node = static_cast<std::uint32_t>(nodes.size());
+    nodes.emplace_back();
+  }
+  nodes[node] = Node{id, p.back, kNil};
+  if (p.back == kNil) {
+    p.front = node;
+  } else {
+    nodes[p.back].next = node;
+  }
+  p.back = node;
+  ++count;
+  ++queued_;
+}
+
+TaskId Machine::unlink(Pool& p, std::uint32_t node, std::size_t group) {
+  std::vector<Node>& nodes = store_->nodes;
+  const Node n = nodes[node];
+  if (n.prev == kNil) {
+    p.front = n.next;
+  } else {
+    nodes[n.prev].next = n.next;
+  }
+  if (n.next == kNil) {
+    p.back = n.prev;
+  } else {
+    nodes[n.next].prev = n.prev;
+  }
+  nodes[node].next = store_->free;
+  store_->free = node;
+  --group_counts_[group];
+  if (--queued_ == 0) release_store();
+  return n.task;
 }
 
 std::optional<TaskId> Machine::pop_local(std::size_t core,
                                          std::size_t group) {
-  auto& pool = pools_.at(core * group_count_ + group);
-  if (pool.empty()) return std::nullopt;
-  const TaskId id = pool.back();
-  pool.pop_back();
-  --group_counts_[group];
-  return id;
+  Pool& p = pool(core, group);
+  if (p.back == kNil) return std::nullopt;
+  return unlink(p, p.back, group);
 }
 
 std::optional<TaskId> Machine::take_front(std::size_t core,
                                           std::size_t group) {
-  auto& pool = pools_.at(core * group_count_ + group);
-  if (pool.empty()) return std::nullopt;
-  const TaskId id = pool.front();
-  pool.pop_front();
-  --group_counts_[group];
-  return id;
+  Pool& p = pool(core, group);
+  if (p.front == kNil) return std::nullopt;
+  return unlink(p, p.front, group);
 }
 
 std::optional<TaskId> Machine::steal(std::size_t thief, std::size_t group) {
   if (group_counts_.at(group) == 0) return std::nullopt;
   const std::size_t n = cores();
   auto take = [&](std::size_t victim) -> std::optional<TaskId> {
-    auto& pool = pools_[victim * group_count_ + group];
-    if (pool.empty()) return std::nullopt;
-    const TaskId id = pool.front();  // steal the oldest (deque top)
-    pool.pop_front();
-    --group_counts_[group];
+    Pool& p = pools_[victim * group_count_ + group];
+    if (p.front == kNil) return std::nullopt;
+    const TaskId id = unlink(p, p.front, group);  // steal the oldest
     ++batch_steals_;
     ++total_steals_;
     if (obs::EventTracer* tr = options_.tracer;
@@ -186,12 +245,6 @@ bool Machine::request_rung(std::size_t core, std::size_t new_rung) {
   return true;
 }
 
-std::size_t Machine::queued_tasks() const {
-  std::size_t n = 0;
-  for (std::size_t c : group_counts_) n += c;
-  return n;
-}
-
 void Machine::run_idle(double until_s) {
   if (!powered_) {
     throw std::logic_error("Machine: run_idle on a parked machine");
@@ -258,6 +311,16 @@ void Machine::charge(std::size_t core, double from_s, double to_s,
   charged_until_[core] = std::max(charged_until_[core], to_s);
 }
 
+struct Machine::BatchScratch {
+  std::vector<Ev> events;  // min-heap under std::greater<Ev>
+  std::vector<double> idle_from;
+};
+
+Machine::BatchScratch& Machine::batch_scratch() {
+  thread_local BatchScratch scratch;
+  return scratch;
+}
+
 double Machine::run_batch(Policy& policy, const trace::Batch& batch,
                           double start_s) {
   if (!powered_) {
@@ -276,16 +339,26 @@ double Machine::run_batch(Policy& policy, const trace::Batch& batch,
 
   policy.batch_start(*this, batch, batch_index_);
 
-  std::priority_queue<Ev, std::vector<Ev>, std::greater<Ev>> pq;
-  std::vector<double> idle_from(cores(), -1.0);
+  // The event queue is a binary min-heap run with exactly the
+  // push_heap/pop_heap calls std::priority_queue makes, so equal events
+  // pop in the same order.
+  BatchScratch& scratch = batch_scratch();
+  std::vector<Ev>& events = scratch.events;
+  events.clear();
+  const auto push_event = [&events](const Ev& ev) {
+    events.push_back(ev);
+    std::push_heap(events.begin(), events.end(), std::greater<Ev>{});
+  };
+  std::vector<double>& idle_from = scratch.idle_from;
+  idle_from.assign(cores(), -1.0);
   std::size_t remaining = batch.tasks.size();
   double last_completion = start_s;
 
   // Tasks spawned mid-batch arrive as injection events.
   for (std::size_t i = 0; i < batch.tasks.size(); ++i) {
     if (batch.tasks[i].release_s > 0.0) {
-      pq.push(Ev{start_s + batch.tasks[i].release_s, Ev::kInject, 0, i,
-                 0.0});
+      push_event(Ev{start_s + batch.tasks[i].release_s, Ev::kInject, 0, i,
+                    0.0});
     }
   }
 
@@ -315,11 +388,11 @@ double Machine::run_batch(Policy& policy, const trace::Batch& batch,
       const double dispatch = options_.dispatch_overhead_s;
       const double exec = exec_time_on(task(*got), core, rung_[core]);
       charge(core, t, t + dispatch + exec, rung_[core], /*active=*/true);
-      pq.push(Ev{t + dispatch + exec, Ev::kComplete, core, *got, exec});
+      push_event(Ev{t + dispatch + exec, Ev::kComplete, core, *got, exec});
     } else {
       idle_from[core] = t;
       if (pending_repoll_s_ > 0.0) {
-        pq.push(Ev{t + pending_repoll_s_, Ev::kWake, core, 0, 0.0});
+        push_event(Ev{t + pending_repoll_s_, Ev::kWake, core, 0, 0.0});
       }
     }
   };
@@ -342,17 +415,20 @@ double Machine::run_batch(Policy& policy, const trace::Batch& batch,
   }
 
   BatchStats bs;
-  bs.cores_per_rung.assign(rung_axis_size(), 0);
-  for (std::size_t c = 0; c < cores(); ++c) ++bs.cores_per_rung[rung_[c]];
+  if (options_.keep_batch_stats) {
+    bs.cores_per_rung.assign(rung_axis_size(), 0);
+    for (std::size_t c = 0; c < cores(); ++c) ++bs.cores_per_rung[rung_[c]];
+  }
 
   while (remaining > 0) {
-    if (pq.empty()) {
+    if (events.empty()) {
       throw std::logic_error(
           "Machine: tasks remain but nothing is executing (policy lost "
           "tasks?)");
     }
-    const Ev ev = pq.top();
-    pq.pop();
+    std::pop_heap(events.begin(), events.end(), std::greater<Ev>{});
+    const Ev ev = events.back();
+    events.pop_back();
     sim_now_s_ = ev.t;
     switch (ev.kind) {
       case Ev::kComplete:
@@ -374,7 +450,7 @@ double Machine::run_batch(Policy& policy, const trace::Batch& batch,
         // A fresh task may unblock idle cores; wake them to re-probe.
         for (std::size_t c = 0; c < cores(); ++c) {
           if (idle_from[c] >= 0.0) {
-            pq.push(Ev{ev.t, Ev::kWake, c, 0, 0.0});
+            push_event(Ev{ev.t, Ev::kWake, c, 0, 0.0});
           }
         }
         break;

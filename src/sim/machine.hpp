@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -164,6 +163,11 @@ class Policy {
 class Machine {
  public:
   explicit Machine(const SimOptions& options);
+  ~Machine();
+  // The energy account refers to options_.power, and queued tasks live
+  // in per-thread storage this machine holds: neither survives a copy.
+  Machine(const Machine&) = delete;
+  Machine& operator=(const Machine&) = delete;
 
   // --- topology / config -------------------------------------------------
   std::size_t cores() const { return rung_.size(); }
@@ -321,7 +325,7 @@ class Machine {
   void wake(double at_s);
 
   /// Tasks still sitting in pools (0 after every completed batch).
-  std::size_t queued_tasks() const;
+  std::size_t queued_tasks() const { return queued_; }
 
   // --- results ---------------------------------------------------------------
   const energy::EnergyAccount& account() const { return account_; }
@@ -340,6 +344,35 @@ class Machine {
  private:
   void charge(std::size_t core, double from_s, double to_s, std::size_t rung,
               bool active);
+
+  /// A pool is a doubly linked list of queue nodes: back is the LIFO
+  /// end (push_task, pop_local), front the FIFO end (steal,
+  /// take_front), the order a deque gives. The nodes live in a
+  /// per-thread NodeStore (machine.cpp): a machine takes its thread's
+  /// store with its first queued task and hands it back when its last
+  /// queued task leaves (or configure_pools drops the rest), so the
+  /// store never holds two machines' tasks, and node storage is one
+  /// batch's worth per thread however many machines the thread steps.
+  static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
+  struct Node {
+    TaskId task;
+    std::uint32_t prev;
+    std::uint32_t next;
+  };
+  struct Pool {
+    std::uint32_t front = kNil;
+    std::uint32_t back = kNil;
+  };
+  struct NodeStore;
+  static NodeStore& thread_node_store();
+  /// Pool of (core, group); throws std::out_of_range outside the current
+  /// shape.
+  Pool& pool(std::size_t core, std::size_t group) {
+    return pools_.at(core * group_count_ + group);
+  }
+  TaskId unlink(Pool& p, std::uint32_t node, std::size_t group);
+  void release_store();
+
   /// Discrete events: task completions, mid-batch task injections
   /// (spawns), and wakeups of idle cores after an injection.
   struct Ev {
@@ -355,6 +388,12 @@ class Machine {
       return core > o.core;
     }
   };
+  /// Per-thread storage of run_batch's event heap and idle marks: their
+  /// size grows with the batch, and one thread runs one batch at a time,
+  /// so one copy per thread serves every Machine it steps (a fleet of
+  /// machines costs one batch's worth, not one per machine).
+  struct BatchScratch;
+  static BatchScratch& batch_scratch();
 
   bool fault_chance(double p);
 
@@ -371,8 +410,11 @@ class Machine {
   std::size_t acquire_probes_ = 0;         // probes in the current acquire
 
   std::size_t group_count_ = 1;
-  // pools_[core * group_count_ + group]
-  std::vector<std::deque<TaskId>> pools_;
+  // pools_[core * group_count_ + group]; store_ holds the nodes of the
+  // queued_ tasks (null while none is queued).
+  std::vector<Pool> pools_;
+  NodeStore* store_ = nullptr;
+  std::size_t queued_ = 0;
   std::vector<std::size_t> group_counts_;
   double acquire_probe_cost_s_ = 0.0;  // time cost of the current acquire
   double pending_repoll_s_ = 0.0;      // repoll request from acquire

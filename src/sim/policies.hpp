@@ -14,6 +14,7 @@
 //                 plus preference-based stealing.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -145,6 +146,32 @@ class WatsPolicy : public Policy {
   bool first_batch_ = true;
 };
 
+/// Per-batch, per-core rungs: one row per batch, one entry per core,
+/// stored flat and narrow (recording a batch appends to one vector,
+/// which grows geometrically, instead of allocating a row).
+class RungHistory {
+ public:
+  /// Batches recorded.
+  std::size_t size() const { return width_ == 0 ? 0 : rungs_.size() / width_; }
+  bool empty() const { return size() == 0; }
+
+  /// Rungs of batch `b`, one per core (a copy of the row). Throws
+  /// std::out_of_range for b >= size().
+  std::vector<std::size_t> operator[](std::size_t b) const;
+
+  /// Append a row of `cores` rungs, all 0. Every row has the first
+  /// row's width; another width throws std::invalid_argument.
+  void add_row(std::size_t cores);
+
+  /// Set core `c`'s rung in the last row. Throws std::out_of_range for
+  /// a core outside the row or a rung past 65535.
+  void set(std::size_t c, std::size_t rung);
+
+ private:
+  std::vector<std::uint16_t> rungs_;
+  std::size_t width_ = 0;
+};
+
 /// The EEWA scheduler.
 class EewaPolicy : public Policy {
  public:
@@ -171,16 +198,12 @@ class EewaPolicy : public Policy {
 
   /// Per-batch, per-core rungs recorded by the (possibly reconciled)
   /// plan at each batch start.
-  const std::vector<std::vector<std::size_t>>& planned_rungs() const {
-    return planned_rungs_;
-  }
+  const RungHistory& planned_rungs() const { return planned_rungs_; }
 
   /// Per-batch, per-core rungs the simulated machine actually reached.
   /// Matches planned_rungs() whenever supervised actuation reconciled
   /// the plan to reality.
-  const std::vector<std::vector<std::size_t>>& applied_rungs() const {
-    return applied_rungs_;
-  }
+  const RungHistory& applied_rungs() const { return applied_rungs_; }
 
  private:
   std::vector<std::string> class_names_;
@@ -190,8 +213,8 @@ class EewaPolicy : public Policy {
   std::vector<std::size_t> core_group_;
   std::vector<std::size_t> rr_;  // round-robin cursor per group
   double overhead_us_seen_ = 0.0;
-  std::vector<std::vector<std::size_t>> applied_rungs_;  // per batch
-  std::vector<std::vector<std::size_t>> planned_rungs_;  // per batch
+  RungHistory applied_rungs_;
+  RungHistory planned_rungs_;
 };
 
 /// Shared helper: push the *released* tasks of `batch` round-robin over

@@ -1,8 +1,8 @@
 // Ablation: design choices of the workload-aware frequency adjuster.
 //  (1) Search algorithm: the paper's backtracking vs the exhaustive
-//      optimum vs a no-backtracking greedy descent — solution quality
-//      (modeled energy) and search effort on the real benchmarks' CC
-//      instances.
+//      optimum (the testing oracle) vs a no-backtracking greedy descent
+//      — solution quality (modeled energy) and search effort on the
+//      real benchmarks' CC instances.
 //  (2) Leftover-core policy: park unclaimed cores at the bottom rung
 //      (our default, matching Fig. 8) vs merging them into the slowest
 //      selected c-group.
@@ -19,10 +19,15 @@
 //
 // Usage: bench_ablation_search [--scale-only] [--budget-us U]
 //                              [--tables N] [--reps R] [--out FILE]
+// An unknown flag, a missing, non-numeric or non-finite value, or a
+// zero --tables / --reps exits 2.
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -31,6 +36,7 @@
 #include "core/adjuster.hpp"
 #include "obs/json_lite.hpp"
 #include "sim/simulate.hpp"
+#include "testing/exhaustive_search.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table_printer.hpp"
@@ -62,7 +68,7 @@ void search_quality() {
         core::CCTable::build(reg.iteration_profile(), model.ladder(), T);
 
     const auto bt = core::search_backtracking(cc, 16);
-    const auto ex = core::search_exhaustive(cc, 16, &model);
+    const auto ex = testing::search_exhaustive(cc, 16, &model);
     const auto gr = core::search_greedy(cc, 16);
     std::string tuple = "(";
     for (std::size_t i = 0; bt.found && i < bt.tuple.size(); ++i) {
@@ -376,19 +382,66 @@ int scale_sweep(const ScaleConfig& cfg) {
   return 0;
 }
 
+[[noreturn]] void bad_value(const char* flag, const char* text,
+                            const char* want) {
+  std::fprintf(stderr, "bench_ablation_search: %s expects %s, got '%s'\n",
+               flag, want, text);
+  std::exit(2);
+}
+
+/// A finite, non-negative decimal; anything else exits 2.
+double parse_real(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v < 0.0) {
+    bad_value(flag, text, "a finite non-negative number");
+  }
+  return v;
+}
+
+/// A positive integer in base 10; anything else exits 2.
+std::size_t parse_positive(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !std::isdigit(static_cast<unsigned char>(text[0])) || v == 0) {
+    bad_value(flag, text, "a positive integer");
+  }
+  return static_cast<std::size_t>(v);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   ScaleConfig cfg;
+  const auto next = [&](int& i) -> const char* {
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "bench_ablation_search: missing value for %s\n",
+                   argv[i]);
+      std::exit(2);
+    }
+    return argv[++i];
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--scale-only") cfg.scale_only = true;
-    if (arg == "--budget-us" && i + 1 < argc) {
-      cfg.budget_us = std::stod(argv[++i]);
+    if (arg == "--scale-only") {
+      cfg.scale_only = true;
+    } else if (arg == "--budget-us") {
+      cfg.budget_us = parse_real(arg.c_str(), next(i));
+    } else if (arg == "--tables") {
+      cfg.tables = parse_positive(arg.c_str(), next(i));
+    } else if (arg == "--reps") {
+      cfg.reps = parse_positive(arg.c_str(), next(i));
+    } else if (arg == "--out") {
+      cfg.out = next(i);
+    } else {
+      std::fprintf(stderr, "bench_ablation_search: unknown argument: %s\n",
+                   arg.c_str());
+      return 2;
     }
-    if (arg == "--tables" && i + 1 < argc) cfg.tables = std::stoul(argv[++i]);
-    if (arg == "--reps" && i + 1 < argc) cfg.reps = std::stoul(argv[++i]);
-    if (arg == "--out" && i + 1 < argc) cfg.out = argv[++i];
   }
   if (!cfg.scale_only) {
     search_quality();

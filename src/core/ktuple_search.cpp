@@ -253,10 +253,11 @@ struct PrefixUse {
 /// Shared prefix audit for the suffix searchers: rungs in range,
 /// nondecreasing, individually feasible, within capacity (total and,
 /// for typed tables, per type). Returns the prefix's demand, or nullopt
-/// when the prefix cannot stand under `cc`.
-std::optional<PrefixUse> prefix_demand(
-    const CCTable& cc, std::size_t total_cores,
-    const std::vector<std::size_t>& prefix) {
+/// when the prefix cannot stand under `cc`. An empty prefix always
+/// stands, with zero demand.
+std::optional<PrefixUse> prefix_demand(const CCTable& cc,
+                                       std::size_t total_cores,
+                                       std::span<const std::size_t> prefix) {
   if (prefix.size() > cc.cols()) return std::nullopt;
   const MachineTopology* topo = cc.topology();
   PrefixUse use;
@@ -285,10 +286,11 @@ std::optional<PrefixUse> prefix_demand(
 
 /// The descent searchers, written into `res`: the tuple is descended in
 /// place in res.tuple's storage, so a homogeneous search allocates
-/// nothing once that storage has held a tuple of this width.
+/// nothing once that storage has held a tuple of this width. A
+/// nonempty `prefix` is audited and kept verbatim.
 void run_descent(SearchResult& res, const CCTable& cc,
                  std::size_t total_cores, bool allow_backtrack,
-                 const std::vector<std::size_t>* prefix = nullptr,
+                 std::span<const std::size_t> prefix = {},
                  std::size_t node_budget = 0) {
   const auto start = Clock::now();
   res.found = false;
@@ -297,18 +299,18 @@ void run_descent(SearchResult& res, const CCTable& cc,
   res.aborted = false;
   Backtracker bt(cc, total_cores, allow_backtrack, res.tuple);
   bt.node_budget = node_budget;
-  if (prefix != nullptr) {
-    const auto used0 = prefix_demand(cc, total_cores, *prefix);
+  if (!prefix.empty()) {
+    const auto used0 = prefix_demand(cc, total_cores, prefix);
     if (!used0) {
       res.tuple.clear();
       res.elapsed_us = elapsed_us_since(start);
       return;
     }
-    std::copy(prefix->begin(), prefix->end(), bt.a.begin());
+    std::copy(prefix.begin(), prefix.end(), bt.a.begin());
     bt.c_n = used0->total;
     if (bt.topo != nullptr) bt.tused = used0->per_type;
-    bt.start_class = prefix->size();
-    bt.lo0 = prefix->empty() ? 0 : prefix->back();
+    bt.start_class = prefix.size();
+    bt.lo0 = prefix.back();
   }
   res.found = bt.search(bt.start_class);
   res.nodes_visited = bt.nodes;
@@ -324,7 +326,7 @@ void run_descent(SearchResult& res, const CCTable& cc,
 
 SearchResult run_descent(const CCTable& cc, std::size_t total_cores,
                          bool allow_backtrack,
-                         const std::vector<std::size_t>* prefix = nullptr,
+                         std::span<const std::size_t> prefix = {},
                          std::size_t node_budget = 0) {
   SearchResult res;
   run_descent(res, cc, total_cores, allow_backtrack, prefix, node_budget);
@@ -335,7 +337,7 @@ SearchResult run_descent(const CCTable& cc, std::size_t total_cores,
 
 SearchResult search_backtracking(const CCTable& cc, std::size_t total_cores,
                                  std::size_t node_budget) {
-  return run_descent(cc, total_cores, /*allow_backtrack=*/true, nullptr,
+  return run_descent(cc, total_cores, /*allow_backtrack=*/true, {},
                      node_budget);
 }
 
@@ -344,101 +346,6 @@ SearchResult search_greedy(const CCTable& cc, std::size_t total_cores) {
 }
 
 namespace {
-
-SearchResult exhaustive_core(const CCTable& cc, std::size_t total_cores,
-                             const energy::PowerModel* model,
-                             const std::vector<std::size_t>* prefix) {
-  const auto start = Clock::now();
-  SearchResult best;
-  double best_e = std::numeric_limits<double>::infinity();
-  double best_used = std::numeric_limits<double>::infinity();
-  std::vector<std::size_t> a(cc.cols(), 0);
-  std::size_t nodes = 0;
-  const MachineTopology* topo = cc.topology();
-  std::vector<long double> tused(topo != nullptr ? topo->type_count() : 0,
-                                 0.0L);
-
-  std::size_t i0 = 0;
-  std::size_t lo_init = 0;
-  long double used0 = 0.0L;
-  if (prefix != nullptr) {
-    const auto pd = prefix_demand(cc, total_cores, *prefix);
-    if (!pd) {
-      best.elapsed_us = elapsed_us_since(start);
-      return best;
-    }
-    std::copy(prefix->begin(), prefix->end(), a.begin());
-    i0 = prefix->size();
-    lo_init = prefix->empty() ? 0 : prefix->back();
-    used0 = pd->total;
-    if (topo != nullptr) tused = pd->per_type;
-  }
-
-  // Enumerate all nondecreasing tuples; prune on capacity as we go.
-  // Ties on energy break deterministically — fewest cores, then the
-  // lexicographically greater (slower) tuple — so differential runs
-  // reproduce the same winner regardless of enumeration quirks.
-  auto rec = [&](auto&& self, std::size_t i, std::size_t lo,
-                 long double used) -> void {
-    if (i == cc.cols()) {
-      const double e = tuple_energy_estimate(cc, a, total_cores, model);
-      const double used_d = static_cast<double>(used);
-      bool better = e < best_e - kEps;
-      if (!better && e <= best_e + kEps) {
-        if (used_d < best_used - kEps) {
-          better = true;
-        } else if (used_d <= best_used + kEps) {
-          better = best.found && a > best.tuple;
-        }
-      }
-      if (better) {
-        best_e = std::min(best_e, e);
-        best_used = used_d;
-        best.found = true;
-        best.tuple = a;
-        best.cores_used =
-            static_cast<std::size_t>(std::ceil(used_d - kEps));
-      }
-      return;
-    }
-    for (std::size_t j = lo; j < cc.rows(); ++j) {
-      ++nodes;
-      if (!cc.rung_feasible(j, i)) continue;
-      const double need = cc.demand(j, i);
-      if (used + need > static_cast<long double>(total_cores) + kEps) {
-        continue;
-      }
-      if (topo != nullptr) {
-        const std::size_t t = topo->row_type(j);
-        if (tused[t] + need >
-            static_cast<long double>(topo->type(t).count) + kEps) {
-          continue;
-        }
-        a[i] = j;
-        tused[t] += need;
-        self(self, i + 1, j, used + need);
-        tused[t] -= need;
-        continue;
-      }
-      a[i] = j;
-      self(self, i + 1, j, used + need);
-    }
-  };
-  rec(rec, i0, lo_init, used0);
-
-  best.nodes_visited = nodes;
-  best.elapsed_us = elapsed_us_since(start);
-  return best;
-}
-
-/// The pruned searcher's DP state: a partial tuple summarized by its
-/// fractional core usage, its adjusted energy, and the arena node from
-/// which the actual rung assignment can be reconstructed.
-struct PrunedState {
-  long double used = 0.0L;
-  long double cost = 0.0L;
-  std::uint32_t node = 0;
-};
 
 constexpr std::uint32_t kNoNode = 0xffffffffu;
 
@@ -484,24 +391,55 @@ struct PageAllocator {
 /// The parent-pointer arena of a pruned search, on its own pages.
 using NodeArena = std::vector<PrunedNode, PageAllocator<PrunedNode>>;
 
-/// Buffers the pruned DPs reuse from call to call on one thread, so a
+/// Homogeneous DP state: a partial tuple summarized by its fractional
+/// core usage, its adjusted energy, and the arena node from which the
+/// actual rung assignment can be reconstructed.
+struct PrunedState {
+  long double total = 0.0L;
+  long double cost = 0.0L;
+  std::uint32_t node = kNoNode;
+};
+
+/// Typed DP state: as PrunedState, plus the usage split per core type
+/// (capacity is a vector on typed tables).
+struct TypedState {
+  long double total = 0.0L;
+  long double cost = 0.0L;
+  std::uint32_t node = kNoNode;
+  std::vector<long double> used;
+};
+
+/// One sweep's frontiers, per last rung, and its running accumulator.
+template <typename State>
+struct SweepBuffers {
+  std::vector<std::vector<State>> cur, nxt;
+  std::vector<State> acc;
+};
+
+/// Buffers the pruned DP reuses from call to call on one thread, so a
 /// steady-state search does not regrow them. A call refills every entry
-/// it reads before reading it: the per-rung powers, and the arena,
-/// chains and frontiers from empty. Thread-local because planners run on
-/// several threads. The arena follows the node count (~100 KB at r = 16,
-/// k = 256) and has its own pages; the rest are a few KB.
+/// it reads before reading it: the per-row powers and pools, and the
+/// arena, chains and frontiers from empty. Thread-local because planners
+/// run on several threads. The arena follows the node count (~100 KB at
+/// r = 16, k = 256) and has its own pages; the rest are a few KB.
 struct PrunedScratch {
-  std::vector<double> p;  ///< active power of one core per rung
-  /// Per rung: p minus the power a leftover core draws instead.
+  std::vector<double> p;  ///< active power of one core per row
+  /// Per row: p minus the power a leftover core of its pool draws.
   std::vector<long double> above_base;
+  /// Leftover cores park in pools: the row's pool, each pool's size and
+  /// the park power of one of its cores, and the final selection's
+  /// per-pool usage (after the prefix, and per candidate).
+  std::vector<std::size_t> pool_of;
+  std::vector<long double> pool_cap;
+  std::vector<double> pool_park;
+  std::vector<long double> pool_used_kp, pool_used;
   NodeArena arena;
   std::vector<std::size_t> chain_a;
   std::vector<std::size_t> chain_b;
-  // Homogeneous sweep frontiers (per last rung) and pilot chains.
-  std::vector<std::vector<PrunedState>> cur, nxt;
-  std::vector<PrunedState> acc;
-  std::vector<PrunedState> pilot_done;
-  std::vector<PrunedState> curU, curC, nxtU, nxtC;
+  SweepBuffers<PrunedState> scalar;
+  SweepBuffers<TypedState> typed;
+  std::vector<PrunedState> curU, curC, nxtU, nxtC;  ///< the scalar pilot
+  std::vector<std::uint32_t> extra;  ///< bound-step completions
 };
 
 PrunedScratch& pruned_scratch() {
@@ -512,7 +450,7 @@ PrunedScratch& pruned_scratch() {
 /// Adjusted cost of a class at a rung: its demand times the rung's power
 /// above the leftover baseline. The energy of a full tuple decomposes as
 ///   E = Σ_leftover base + Σ_i d_i(a_i)·(p(a_i) - base(a_i))
-/// so the DPs minimize the per-class adjusted cost; the leftover
+/// so the DP minimizes the per-class adjusted cost; the leftover
 /// constant drops out of every comparison.
 long double adjusted_cost(double demand, long double above_base) {
   return static_cast<long double>(demand) * above_base;
@@ -526,6 +464,8 @@ long double adjusted_cost(double demand, long double above_base) {
 /// not even needed — the pointwise minimum is exact for the
 /// relaxation), suffix-summed so lb[i][j] bounds any completion of
 /// classes [i, k) at rungs >= j from below; row k is the empty suffix.
+/// lbD bounds only the *total* demand, which stays admissible under
+/// per-type capacity: Σ_t used_t <= m holds whatever the split.
 ///
 /// `lbC` (adjusted cost) and `lbD` (core demand) are class-major
 /// (k + 1) x r ([i * r + j]). Their size is fixed by the table, so each
@@ -581,93 +521,59 @@ bool chain_lex_greater(PrunedScratch& s, std::uint32_t na, std::uint32_t nb,
   return s.chain_a > s.chain_b;
 }
 
-SearchResult pruned_typed_core(const CCTable& cc, std::size_t total_cores,
-                               const std::vector<std::size_t>* prefix);
+/// One pruned search's lattice: classes [kp, k) at rungs [j0, r) after
+/// the audited prefix, the capacity, and what the sweep and the bound
+/// step read.
+struct Lattice {
+  const CCTable& cc;
+  std::size_t total_cores;
+  std::span<const std::size_t> prefix;
+  std::size_t r, k, kp, j0;
+  long double cap;
+  const std::vector<long double>& above_base;
+  const std::vector<long double>& lbD;
+  PrunedScratch& sc;
 
-SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
-                         const energy::PowerModel* model,
-                         const std::vector<std::size_t>* prefix) {
-  if (cc.topology() != nullptr) {
-    // Typed tables need multi-dimensional (per-type) capacity state; the
-    // homogeneous DP below stays untouched so its results are bit-stable.
-    return pruned_typed_core(cc, total_cores, prefix);
-  }
-  const auto start = Clock::now();
-  SearchResult res;
-  const std::size_t r = cc.rows();
-  const std::size_t k = cc.cols();
-  const long double cap = static_cast<long double>(total_cores);
-  const long double inf = std::numeric_limits<long double>::infinity();
-
-  std::size_t kp = 0;
-  std::size_t j0 = 0;
-  long double used0 = 0.0L;
-  if (prefix != nullptr) {
-    const auto pd = prefix_demand(cc, total_cores, *prefix);
-    if (!pd) {
-      res.elapsed_us = elapsed_us_since(start);
-      return res;
-    }
-    kp = prefix->size();
-    j0 = prefix->empty() ? 0 : prefix->back();
-    used0 = pd->total;
-  }
-
-  // Per-rung powers once (a leftover core parks at the slowest rung),
-  // then the lower bounds over the searched region.
-  PrunedScratch& sc = pruned_scratch();
-  const double p_left = leftover_power(cc, r - 1, model);
-  sc.p.resize(r);
-  sc.above_base.resize(r);
-  for (std::size_t j = 0; j < r; ++j) {
-    sc.p[j] = rung_power(cc, j, model);
-    sc.above_base[j] = static_cast<long double>(sc.p[j]) - p_left;
-  }
-  std::vector<long double> lbC;
-  std::vector<long double> lbD;
-  fill_lower_bounds(cc, kp, j0, sc.above_base, lbC, lbD);
-  const std::vector<long double>& above_base = sc.above_base;
-  const std::vector<double>& p = sc.p;
-
-  // Incumbent: Algorithm 1's backtracking descent primes the bound. Its
-  // solution is feasible, so the optimum's adjusted cost cannot exceed
-  // the incumbent's; anything provably above it (outside the tie
-  // window) is dead. Budgeted: adversarial tables make the descent
-  // exponential; the DP is complete on its own, an aborted incumbent
-  // only weakens the pruning.
-  long double ub = inf;
-  const auto seed = run_descent(cc, total_cores, /*allow_backtrack=*/true,
-                                prefix, kIncumbentNodeBudget);
-  res.nodes_visited += seed.nodes_visited;
-  res.aborted = seed.aborted;
-  if (seed.found) {
+  /// Adjusted cost of a full tuple's searched classes.
+  long double chain_cost(const std::vector<std::size_t>& t) const {
     long double c = 0.0L;
     for (std::size_t i = kp; i < k; ++i) {
-      c += adjusted_cost(cc.demand(seed.tuple[i], i),
-                         above_base[seed.tuple[i]]);
+      c += adjusted_cost(cc.demand(t[i], i), above_base[t[i]]);
     }
-    ub = c;
+    return c;
+  }
+};
+
+/// The homogeneous front: one capacity dimension. A frontier is a
+/// proper Pareto front kept sorted by usage ascending / cost strictly
+/// descending, so an insert is a binary search and thinning needs no
+/// sort.
+struct ScalarFront {
+  using State = PrunedState;
+
+  static SweepBuffers<State>& buffers(PrunedScratch& sc) { return sc.scalar; }
+
+  static State root(const PrefixUse& use) {
+    return State{use.total, 0.0L, kNoNode};
+  }
+  bool fits(const State&, std::size_t, long double) const { return true; }
+  State extend(const State&, std::size_t, long double, long double u,
+               long double c, std::uint32_t node) const {
+    return State{u, c, node};
   }
 
-  NodeArena& arena = sc.arena;
-  arena.clear();
-  arena.reserve(1024);
-
-  // Insert into a frontier kept sorted by used ascending / cost strictly
-  // descending (a proper Pareto front). A state no cheaper on both axes
-  // than an existing one is dropped; on an exact (used, cost) tie the
-  // lex-greater chain survives, matching the documented tie-break.
-  const auto pareto_insert = [&](std::vector<PrunedState>& front,
-                                 const PrunedState& s, std::size_t depth) {
+  // A state no cheaper on both axes than an existing one is dropped; on
+  // an exact (used, cost) tie the lex-greater chain survives, matching
+  // the documented tie-break.
+  static void insert(PrunedScratch& sc, std::vector<State>& front,
+                     const State& s, std::size_t depth) {
     auto it = std::lower_bound(
         front.begin(), front.end(), s,
-        [](const PrunedState& a, const PrunedState& b) {
-          return a.used < b.used;
-        });
+        [](const State& a, const State& b) { return a.total < b.total; });
     if (it != front.begin() && (it - 1)->cost <= s.cost) {
       return;  // dominated by a strictly-fewer-cores state
     }
-    if (it != front.end() && it->used == s.used) {
+    if (it != front.end() && it->total == s.total) {
       if (it->cost < s.cost) return;  // dominated at equal cores
       if (it->cost == s.cost) {
         if (chain_lex_greater(sc, s.node, it->node, depth)) {
@@ -685,78 +591,12 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
     auto last = tail;
     while (last != front.end() && last->cost >= s.cost) ++last;
     front.erase(tail, last);
-  };
+  }
 
-  // Worst-case width guardrail: degenerate tables can make a frontier's
-  // true Pareto front exponentially wide. Fronts past cap_w·2 are
-  // thinned to an evenly-spaced cap_w-subset keeping both endpoints —
-  // the min-demand end preserves exact feasibility, the min-cost end the
-  // cheapest-energy candidate; the optimal chain between them can only
-  // be lost on tables far beyond the exhaustive gate (the full-width cap
-  // cannot bind at r·k <= 25, whose fronts stay tiny).
-  constexpr std::size_t kFrontierCap = 64;
-  const auto thin = [](std::vector<PrunedState>& front, std::size_t cap_w) {
-    if (front.size() <= 2 * cap_w) return;
-    // In place: slot t reads from an index >= t, so writing front-to-back
-    // never clobbers an unread source.
-    const std::size_t n = front.size();
-    for (std::size_t t = 0; t < cap_w; ++t) {
-      front[t] = front[t * (n - 1) / (cap_w - 1)];
-    }
-    front.resize(cap_w);
-  };
+  /// Already in thinning order (usage ascending, cost descending).
+  static void order_for_thinning(std::vector<State>&) {}
 
-  std::size_t nodes = res.nodes_visited;
-
-  // One sweep over the lattice at frontier width `cap_w`, pruning
-  // against the adjusted-cost upper bound `bound`. Leaves the final
-  // frontiers, indexed by last rung, in sc.cur (only rungs >= j0 are
-  // reachable).
-  const auto sweep = [&](std::size_t cap_w, long double bound) {
-    auto& cur = sc.cur;
-    auto& nxt = sc.nxt;
-    auto& acc = sc.acc;
-    cur.resize(r);
-    nxt.resize(r);
-    for (std::size_t j = 0; j < r; ++j) {
-      cur[j].clear();
-      nxt[j].clear();
-    }
-    cur[j0].push_back(PrunedState{used0, 0.0L, kNoNode});
-    for (std::size_t i = kp; i < k; ++i) {
-      acc.clear();
-      const std::size_t depth = i + 1 - kp;
-      const std::span<const char> feasible = cc.feasible_column(i);
-      const std::span<const double> demand = cc.demand_column(i);
-      for (std::size_t j = j0; j < r; ++j) {
-        // All states ending at rungs <= j are extendable at rung j; once
-        // extended they all end at j, so merging them into one running
-        // Pareto accumulator is exact.
-        for (const auto& s : cur[j]) pareto_insert(acc, s, depth - 1);
-        thin(acc, cap_w);
-        nxt[j].clear();
-        if (!feasible[j]) continue;
-        const long double dij = demand[j];
-        const long double cij = adjusted_cost(demand[j], above_base[j]);
-        const long double lb_d = lbD[(i + 1) * r + j];
-        const long double lb_c = lbC[(i + 1) * r + j];
-        for (const auto& s : acc) {
-          ++nodes;
-          const long double u = s.used + dij;
-          if (u + lb_d > cap + kEps) continue;  // cannot fit even optimistically
-          const long double c = s.cost + cij;
-          if (c + lb_c > bound + 2 * kEps) continue;  // outside the tie window
-          const auto node = static_cast<std::uint32_t>(arena.size());
-          arena.push_back(PrunedNode{s.node, static_cast<std::uint32_t>(j)});
-          pareto_insert(nxt[j], PrunedState{u, c, node}, depth);
-        }
-        thin(nxt[j], cap_w);
-      }
-      cur.swap(nxt);
-    }
-  };
-
-  // Pilot pass: a scalar two-chain beam over the same lattice — per last
+  // Bound step, a scalar two-chain pilot over the same lattice: per last
   // rung only the minimum-demand and minimum-cost chains survive, plain
   // scalars with no frontier machinery, so the whole pass is O(k·r)
   // arithmetic. The min-demand chain is an exact DP (the true
@@ -766,103 +606,389 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
   // tight — upper bound that collapses the main pass's frontiers to the
   // near-optimal band. Without it, a table whose incumbent descent
   // aborted would run the main pass against ub = inf and visit orders of
-  // magnitude more states.
-  std::vector<PrunedState>& pilot_done = sc.pilot_done;
-  pilot_done.clear();
-  {
-    const PrunedState none{inf, inf, kNoNode};
+  // magnitude more states. Its completions compete in the final
+  // selection: a tight pilot bound plus narrow-beam thinning can starve
+  // the main sweep on an adversarial table (the min-demand chain dies on
+  // the cost bound, the min-cost chain in thinning), and the pilot chain
+  // is exactly the feasible completion that proves found-ness there.
+  void tighten(const Lattice& L, const State& root, const SearchResult&,
+               long double& ub, std::size_t&) const {
+    const long double inf = std::numeric_limits<long double>::infinity();
+    const State none{inf, inf, kNoNode};
+    PrunedScratch& sc = L.sc;
     auto& curU = sc.curU;
     auto& curC = sc.curC;
     auto& nxtU = sc.nxtU;
     auto& nxtC = sc.nxtC;
-    curU.assign(r, none);
-    curC.assign(r, none);
-    nxtU.assign(r, none);
-    nxtC.assign(r, none);
-    curU[j0] = curC[j0] = PrunedState{used0, 0.0L, kNoNode};
-    for (std::size_t i = kp; i < k; ++i) {
-      const std::span<const char> feasible = cc.feasible_column(i);
-      const std::span<const double> demand = cc.demand_column(i);
+    curU.assign(L.r, none);
+    curC.assign(L.r, none);
+    nxtU.assign(L.r, none);
+    nxtC.assign(L.r, none);
+    curU[L.j0] = curC[L.j0] = root;
+    for (std::size_t i = L.kp; i < L.k; ++i) {
+      const std::span<const char> feasible = L.cc.feasible_column(i);
+      const std::span<const double> demand = L.cc.demand_column(i);
       // Chains ending at rungs <= j with the least demand and the least
       // cost; they point into cur*, which this class only reads.
-      const PrunedState* accU = &none;
-      const PrunedState* accC = &none;
-      for (std::size_t j = j0; j < r; ++j) {
-        const PrunedState& u = curU[j];
-        const PrunedState& c = curC[j];
-        if (u.used < accU->used) accU = &u;
-        if (c.used < accU->used) accU = &c;
+      const State* accU = &none;
+      const State* accC = &none;
+      for (std::size_t j = L.j0; j < L.r; ++j) {
+        const State& u = curU[j];
+        const State& c = curC[j];
+        if (u.total < accU->total) accU = &u;
+        if (c.total < accU->total) accU = &c;
         if (c.cost < accC->cost) accC = &c;
         if (u.cost < accC->cost) accC = &u;
         // A chain extends to rung j when it fits even optimistically.
-        const auto extend = [&](const PrunedState* from, PrunedState& out) {
-          if (!feasible[j] || !(from->used < inf)) {
+        const auto step = [&](const State* from, State& out) {
+          if (!feasible[j] || !(from->total < inf)) {
             out = none;
             return;
           }
           const long double dij = demand[j];
-          if (!(from->used + dij + lbD[(i + 1) * r + j] <= cap + kEps)) {
+          if (!(from->total + dij + L.lbD[(i + 1) * L.r + j] <=
+                L.cap + kEps)) {
             out = none;
             return;
           }
-          const auto node = static_cast<std::uint32_t>(arena.size());
-          arena.push_back(
+          const auto node = static_cast<std::uint32_t>(sc.arena.size());
+          sc.arena.push_back(
               PrunedNode{from->node, static_cast<std::uint32_t>(j)});
-          out = PrunedState{from->used + dij,
-                            from->cost + adjusted_cost(demand[j],
-                                                       above_base[j]),
-                            node};
+          out = State{from->total + dij,
+                      from->cost + adjusted_cost(demand[j],
+                                                 L.above_base[j]),
+                      node};
         };
-        extend(accU, nxtU[j]);
-        extend(accC, nxtC[j]);
+        step(accU, nxtU[j]);
+        step(accC, nxtC[j]);
       }
       curU.swap(nxtU);
       curC.swap(nxtC);
     }
-    for (std::size_t j = j0; j < r; ++j) {
-      if (curU[j].used < inf) {
-        ub = std::min(ub, curU[j].cost);
-        pilot_done.push_back(curU[j]);
-      }
-      if (curC[j].used < inf) {
-        ub = std::min(ub, curC[j].cost);
-        pilot_done.push_back(curC[j]);
+    for (std::size_t j = L.j0; j < L.r; ++j) {
+      for (const State* s : {&curU[j], &curC[j]}) {
+        if (s->total < inf) {
+          ub = std::min(ub, s->cost);
+          sc.extra.push_back(s->node);
+        }
       }
     }
   }
+};
+
+/// The typed front: capacity, and so dominance, is per core type. A
+/// state is dominated only when another is no worse on cost and on
+/// every type's usage, so a frontier is a multi-dimensional Pareto set
+/// kept in deterministic insertion order by linear scan. Past the
+/// exactness regime, found-ness on an adversarial typed table rests on
+/// the incumbent or greedy descent, or on a thinned chain surviving.
+struct TypedFront {
+  using State = TypedState;
+
+  const std::vector<std::size_t>& pool_of;
+  const std::vector<long double>& pool_cap;
+
+  static SweepBuffers<State>& buffers(PrunedScratch& sc) { return sc.typed; }
+
+  static State root(const PrefixUse& use) {
+    return State{use.total, 0.0L, kNoNode, use.per_type};
+  }
+  bool fits(const State& s, std::size_t j, long double dij) const {
+    const std::size_t t = pool_of[j];
+    return !(s.used[t] + dij > pool_cap[t] + kEps);
+  }
+  State extend(const State& s, std::size_t j, long double dij, long double u,
+               long double c, std::uint32_t node) const {
+    State ns = s;
+    ns.used[pool_of[j]] += dij;
+    ns.total = u;
+    ns.cost = c;
+    ns.node = node;
+    return ns;
+  }
+
+  static bool dominates(const State& a, const State& b) {
+    if (a.cost > b.cost) return false;
+    for (std::size_t t = 0; t < a.used.size(); ++t) {
+      if (a.used[t] > b.used[t]) return false;
+    }
+    return true;
+  }
+  // On an exact all-axes tie the lex-greater chain survives, matching the
+  // documented tie-break.
+  static void insert(PrunedScratch& sc, std::vector<State>& front,
+                     const State& s, std::size_t depth) {
+    for (auto& e : front) {
+      if (dominates(e, s)) {
+        if (e.cost == s.cost && e.used == s.used &&
+            chain_lex_greater(sc, s.node, e.node, depth)) {
+          e.node = s.node;
+        }
+        return;
+      }
+    }
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < front.size(); ++i) {
+      if (!dominates(s, front[i])) {
+        if (w != i) front[w] = std::move(front[i]);
+        ++w;
+      }
+    }
+    front.resize(w);
+    front.push_back(s);
+  }
+
+  /// Order by (total demand asc, cost desc) — stable, so insertion order
+  /// breaks exact ties. The min-total endpoint is the best single
+  /// feasibility witness available, though with per-type capacity it is
+  /// no longer an exactness proof.
+  static void order_for_thinning(std::vector<State>& front) {
+    std::stable_sort(front.begin(), front.end(),
+                     [](const State& a, const State& b) {
+                       if (a.total != b.total) return a.total < b.total;
+                       return a.cost > b.cost;
+                     });
+  }
+
+  // Bound step: the scalar pilot's min-demand chain is only exact for
+  // one-dimensional capacity, so when the incumbent gave up an
+  // unbudgeted greedy descent (<= k·r selects, no backtracking) stands in
+  // as the found-ness and upper-bound candidate.
+  void tighten(const Lattice& L, const State&, const SearchResult& seed,
+               long double& ub, std::size_t& nodes) const {
+    if (!seed.aborted) return;
+    const auto greedy = run_descent(L.cc, L.total_cores,
+                                    /*allow_backtrack=*/false, L.prefix);
+    nodes += greedy.nodes_visited;
+    if (!greedy.found) return;
+    ub = std::min(ub, L.chain_cost(greedy.tuple));
+    // Its completion competes in the final selection as an arena chain.
+    std::uint32_t node = kNoNode;
+    for (std::size_t i = L.kp; i < L.k; ++i) {
+      L.sc.arena.push_back(
+          PrunedNode{node, static_cast<std::uint32_t>(greedy.tuple[i])});
+      node = static_cast<std::uint32_t>(L.sc.arena.size() - 1);
+    }
+    L.sc.extra.push_back(node);
+  }
+};
+
+/// Worst-case width guardrail: degenerate tables can make a frontier's
+/// true Pareto front exponentially wide. Fronts past cap_w·2 are
+/// thinned to an evenly-spaced cap_w-subset, in the front's thinning
+/// order, keeping both endpoints — the min-demand end preserves
+/// feasibility, the min-cost end the cheapest-energy candidate.
+template <typename Front>
+void thin(std::vector<typename Front::State>& front, std::size_t cap_w) {
+  if (front.size() <= 2 * cap_w) return;
+  Front::order_for_thinning(front);
+  // In place: slot t reads from an index >= t, so writing front-to-back
+  // never clobbers an unread source.
+  const std::size_t n = front.size();
+  for (std::size_t t = 0; t < cap_w; ++t) {
+    front[t] = front[t * (n - 1) / (cap_w - 1)];
+  }
+  front.resize(cap_w);
+}
+
+/// The sweep, class by class, at frontier width `cap_w`, pruning
+/// against the adjusted-cost bound `ub`. Leaves the final frontiers,
+/// indexed by last rung, in the front's `cur` buffers (only rungs >= j0
+/// are reachable) and returns the number of states it extended. A
+/// function of its own, not a block of pruned_dp: compiled inside that
+/// larger body, the same loop ran about 1.5x slower at r = 16, k = 256.
+template <typename Front>
+std::size_t sweep(const Lattice& L, const Front& front,
+                  const typename Front::State& root,
+                  const std::vector<long double>& lbC, std::size_t cap_w,
+                  long double ub) {
+  const CCTable& cc = L.cc;
+  const std::size_t r = L.r;
+  const std::size_t k = L.k;
+  const std::size_t kp = L.kp;
+  const std::size_t j0 = L.j0;
+  const long double cap = L.cap;
+  const std::vector<long double>& above_base = L.above_base;
+  const std::vector<long double>& lbD = L.lbD;
+  PrunedScratch& sc = L.sc;
+  NodeArena& arena = sc.arena;
+  SweepBuffers<typename Front::State>& buf = Front::buffers(sc);
+  auto& cur = buf.cur;
+  auto& nxt = buf.nxt;
+  auto& acc = buf.acc;
+  cur.resize(r);
+  nxt.resize(r);
+  for (std::size_t j = 0; j < r; ++j) {
+    cur[j].clear();
+    nxt[j].clear();
+  }
+  cur[j0].push_back(root);
+  std::size_t nodes = 0;
+  for (std::size_t i = kp; i < k; ++i) {
+    acc.clear();
+    const std::size_t depth = i + 1 - kp;
+    const std::span<const char> feasible = cc.feasible_column(i);
+    const std::span<const double> demand = cc.demand_column(i);
+    for (std::size_t j = j0; j < r; ++j) {
+      // All states ending at rungs <= j are extendable at rung j; once
+      // extended they all end at j, so merging them into one running
+      // Pareto accumulator is exact.
+      for (const auto& s : cur[j]) Front::insert(sc, acc, s, depth - 1);
+      thin<Front>(acc, cap_w);
+      nxt[j].clear();
+      if (!feasible[j]) continue;
+      const long double dij = demand[j];
+      const long double cij = adjusted_cost(demand[j], above_base[j]);
+      const long double lb_d = lbD[(i + 1) * r + j];
+      const long double lb_c = lbC[(i + 1) * r + j];
+      for (const auto& s : acc) {
+        ++nodes;
+        const long double u = s.total + dij;
+        if (u + lb_d > cap + kEps) continue;  // cannot fit even optimistically
+        if (!front.fits(s, j, dij)) continue;
+        const long double c = s.cost + cij;
+        if (c + lb_c > ub + 2 * kEps) continue;  // outside the tie window
+        const auto node = static_cast<std::uint32_t>(arena.size());
+        arena.push_back(PrunedNode{s.node, static_cast<std::uint32_t>(j)});
+        Front::insert(sc, nxt[j], front.extend(s, j, dij, u, c, node), depth);
+      }
+      thin<Front>(nxt[j], cap_w);
+    }
+    cur.swap(nxt);
+  }
+  return nodes;
+}
+
+/// The pruned DP over the suffix after `prefix` (empty for a full
+/// search). `Front` decides what a state counts against capacity: one
+/// total (ScalarFront) or one usage per core type (TypedFront).
+template <typename Front>
+SearchResult pruned_dp(const CCTable& cc, std::size_t total_cores,
+                       const energy::PowerModel* model,
+                       std::span<const std::size_t> prefix, Front front) {
+  using State = typename Front::State;
+  const auto start = Clock::now();
+  SearchResult res;
+  const auto use = prefix_demand(cc, total_cores, prefix);
+  if (!use) {
+    res.elapsed_us = elapsed_us_since(start);
+    return res;
+  }
+  const std::size_t r = cc.rows();
+  const std::size_t k = cc.cols();
+  const std::size_t kp = prefix.size();
+  const std::size_t j0 = prefix.empty() ? 0 : prefix.back();
+  const long double cap = static_cast<long double>(total_cores);
+
+  // Leftover cores park in pools, each core at its pool's park power: a
+  // homogeneous table is one pool of m cores at the slowest rung, a
+  // typed table one pool per core type at that type's own slowest rung
+  // (a LITTLE core cannot park on the big cluster's ladder). A row's
+  // baseline is its pool's park power.
+  PrunedScratch& sc = pruned_scratch();
+  const MachineTopology* topo = cc.topology();
+  const std::size_t pools = topo != nullptr ? topo->type_count() : 1;
+  sc.pool_cap.resize(pools);
+  sc.pool_park.resize(pools);
+  if (topo != nullptr) {
+    for (std::size_t t = 0; t < pools; ++t) {
+      sc.pool_cap[t] = static_cast<long double>(topo->type(t).count);
+      sc.pool_park[t] = topo->row_park_w(topo->slowest_row_of_type(t));
+    }
+  } else {
+    sc.pool_cap[0] = cap;
+    sc.pool_park[0] = leftover_power(cc, r - 1, model);
+  }
+  sc.p.resize(r);
+  sc.pool_of.resize(r);
+  sc.above_base.resize(r);
+  for (std::size_t j = 0; j < r; ++j) {
+    sc.p[j] = rung_power(cc, j, model);
+    sc.pool_of[j] = topo != nullptr ? topo->row_type(j) : 0;
+    sc.above_base[j] = static_cast<long double>(sc.p[j]) -
+                       static_cast<long double>(sc.pool_park[sc.pool_of[j]]);
+  }
+  std::vector<long double> lbC;
+  std::vector<long double> lbD;
+  fill_lower_bounds(cc, kp, j0, sc.above_base, lbC, lbD);
+  const std::vector<long double>& above_base = sc.above_base;
+  const Lattice lat{cc, total_cores, prefix, r, k, kp, j0, cap,
+                    above_base, lbD, sc};
+
+  // Incumbent: Algorithm 1's backtracking descent (per-type capacity on
+  // typed tables) primes the bound. Its solution is feasible, so the
+  // optimum's adjusted cost cannot exceed the incumbent's; anything
+  // provably above it (outside the tie window) is dead. Budgeted:
+  // adversarial tables make the descent exponential; the DP is complete
+  // on its own, an aborted incumbent only weakens the pruning. Abort
+  // parity with the oracle's reference descent is kept through
+  // res.aborted.
+  const auto seed = run_descent(cc, total_cores, /*allow_backtrack=*/true,
+                                prefix, kIncumbentNodeBudget);
+  res.aborted = seed.aborted;
+  long double ub = seed.found ? lat.chain_cost(seed.tuple)
+                              : std::numeric_limits<long double>::infinity();
+  std::size_t nodes = seed.nodes_visited;
+
+  NodeArena& arena = sc.arena;
+  arena.clear();
+  arena.reserve(1024);
+  sc.extra.clear();
+  const State root = Front::root(*use);
+  front.tighten(lat, root, seed, ub, nodes);
+
   // Main-pass width: full (never binds at r·k <= 25, where exhaustive
   // equality is the contract; past that, natural fronts stay narrow up
   // to a few hundred lattice cells) in the exactness regime, a narrow
   // beam at production scale where the contract is feasibility
   // exactness, determinism and never-worse-than-backtracking — there the
   // sweep must fit a sub-millisecond plan budget (docs/performance.md).
+  constexpr std::size_t kFrontierCap = 64;
   const std::size_t main_cap = (r - j0) * (k - kp) <= 256 ? kFrontierCap : 6;
-  sweep(main_cap, ub);
+
+  nodes += sweep(lat, front, root, lbC, main_cap, ub);
+  const auto& cur = Front::buffers(sc).cur;
 
   // Final selection: evaluate the surviving completions with the exact
-  // energy estimator and the exhaustive searcher's tie-break, so the two
-  // searchers agree on the winner. The evaluation reuses the p[] table
-  // and the cached demands but accumulates in the same order and width as
-  // tuple_energy_estimate, so the result is bit-identical to it. Every
-  // candidate shares the pinned prefix, so the running sums over classes
-  // [0, kp) are taken once and each candidate continues from them.
+  // energy estimator and the exhaustive oracle's tie-break, so the two
+  // agree on the winner. The evaluation reuses the p[] table and the
+  // cached demands but accumulates in the same order and width as
+  // tuple_energy_estimate (classes, then pools, ascending), so the
+  // result is bit-identical to it. Every candidate shares the pinned
+  // prefix, so the running sums over classes [0, kp) are taken once and
+  // each candidate continues from them.
+  const std::vector<double>& p = sc.p;
+  const std::vector<std::size_t>& pool_of = sc.pool_of;
+  // One pool's usage is the running total itself; only a machine of
+  // several core types sums its usage per pool.
+  const bool split = pools > 1;
   long double used_kp = 0.0L;
   long double e_kp = 0.0L;
+  sc.pool_used_kp.assign(pools, 0.0L);
   for (std::size_t i = 0; i < kp; ++i) {
-    const double n = cc.demand((*prefix)[i], i);
+    const double n = cc.demand(prefix[i], i);
     used_kp += n;
-    e_kp += static_cast<long double>(n) * p[(*prefix)[i]];
+    if (split) sc.pool_used_kp[pool_of[prefix[i]]] += n;
+    e_kp += static_cast<long double>(n) * p[prefix[i]];
   }
   const auto eval_energy = [&](const std::vector<std::size_t>& t,
                                long double* used_out) {
     long double used = used_kp;
     long double e = e_kp;
+    std::vector<long double>& pool_used = sc.pool_used;
+    if (split) pool_used = sc.pool_used_kp;
     for (std::size_t i = kp; i < k; ++i) {
       const double n = cc.demand(t[i], i);
       used += n;
+      if (split) pool_used[pool_of[t[i]]] += n;
       e += static_cast<long double>(n) * p[t[i]];
     }
-    if (cap > used) e += (cap - used) * static_cast<long double>(p_left);
+    for (std::size_t q = 0; q < pools; ++q) {
+      const long double u = split ? pool_used[q] : used;
+      if (sc.pool_cap[q] > u) {
+        e += (sc.pool_cap[q] - u) * static_cast<long double>(sc.pool_park[q]);
+      }
+    }
     *used_out = used;
     return static_cast<double>(e);
   };
@@ -870,7 +996,7 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
   double best_e = std::numeric_limits<double>::infinity();
   double best_used = std::numeric_limits<double>::infinity();
   std::vector<std::size_t> a(k, 0);
-  if (prefix != nullptr) std::copy(prefix->begin(), prefix->end(), a.begin());
+  std::copy(prefix.begin(), prefix.end(), a.begin());
   if (seed.found) {
     // The incumbent competes directly, so the result is never worse than
     // a completed backtracking descent even if frontier thinning dropped
@@ -883,8 +1009,8 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
     res.cores_used = static_cast<std::size_t>(
         std::ceil(static_cast<double>(u) - kEps));
   }
-  const auto consider = [&](const PrunedState& s) {
-    reconstruct_chain(arena, s.node, k - kp, sc.chain_a);
+  const auto consider = [&](std::uint32_t node) {
+    reconstruct_chain(arena, node, k - kp, sc.chain_a);
     std::copy(sc.chain_a.begin(), sc.chain_a.end(), a.begin() + kp);
     long double u = 0.0L;
     const double e = eval_energy(a, &u);
@@ -905,329 +1031,41 @@ SearchResult pruned_core(const CCTable& cc, std::size_t total_cores,
       res.cores_used = static_cast<std::size_t>(std::ceil(used_d - kEps));
     }
   };
-  // The pilot's completions compete too: a tight pilot bound plus
-  // narrow-beam thinning can starve the main sweep on an adversarial
-  // table (the min-demand chain dies on the cost bound, the min-cost
-  // chain in thinning), and the pilot chain is exactly the feasible
-  // completion that proves found-ness there.
-  for (const auto& s : pilot_done) consider(s);
+  for (const std::uint32_t node : sc.extra) consider(node);
   for (std::size_t j = j0; j < r; ++j) {
-    for (const auto& s : sc.cur[j]) consider(s);
+    for (const auto& s : cur[j]) consider(s.node);
   }
   res.nodes_visited = nodes;
   res.elapsed_us = elapsed_us_since(start);
   return res;
 }
 
-/// Typed DP state: a partial tuple summarized by its per-type fractional
-/// usage (capacity is a vector on typed tables), the total, its adjusted
-/// cost, and the arena node for chain reconstruction.
-struct TypedState {
-  std::vector<long double> used;
-  long double total = 0.0L;
-  long double cost = 0.0L;
-  std::uint32_t node = kNoNode;
-};
-
-/// search_pruned on a typed table. Same DP skeleton as the homogeneous
-/// pruned_core — adjusted-cost decomposition, admissible suffix lower
-/// bounds, dominance, budgeted incumbent, capped deterministic frontiers
-/// — with three typed differences:
-///
-///   - capacity (and thus dominance) is per core type: a state is
-///     dominated only when it is no cheaper on *every* type's usage and
-///     on cost, so fronts are genuine multi-dimensional Pareto sets kept
-///     by linear scan;
-///   - the energy decomposition parks each type's leftovers at that
-///     type's own slowest rung: E = Σ_t m_t·park_t + Σ_i d_i·(p(a_i) −
-///     park_type(a_i)), and the constant Σ_t m_t·park_t drops out;
-///   - the scalar two-chain pilot (whose min-demand chain is only exact
-///     for one-dimensional capacity) is replaced by an unbudgeted greedy
-///     descent, run only when the incumbent aborted, as the extra
-///     found-ness/upper-bound candidate.
-///
-/// Contract: exhaustive-equal whenever no guardrail binds (in particular
-/// the whole r·k <= 25 exhaustive gate), deterministic everywhere, and
-/// never worse than a completed incumbent descent (the incumbent tuple
-/// re-enters the final selection). On adversarial typed tables past the
-/// exactness regime, found-ness relies on the incumbent/greedy descent
-/// or a thinned chain surviving — thinning keeps the min-total-demand
-/// endpoint, which is no longer a per-type feasibility proof.
-SearchResult pruned_typed_core(const CCTable& cc, std::size_t total_cores,
-                               const std::vector<std::size_t>* prefix) {
-  const auto start = Clock::now();
-  SearchResult res;
-  const MachineTopology& topo = *cc.topology();
-  const std::size_t r = cc.rows();
-  const std::size_t k = cc.cols();
-  const std::size_t nt = topo.type_count();
-  const long double cap = static_cast<long double>(total_cores);
-
-  std::vector<long double> tcap(nt);
-  for (std::size_t t = 0; t < nt; ++t) {
-    tcap[t] = static_cast<long double>(topo.type(t).count);
+SearchResult pruned_search(const CCTable& cc, std::size_t total_cores,
+                           const energy::PowerModel* model,
+                           std::span<const std::size_t> prefix) {
+  if (cc.topology() == nullptr) {
+    return pruned_dp(cc, total_cores, model, prefix, ScalarFront{});
   }
-  std::vector<std::size_t> rtype(r);
-  for (std::size_t j = 0; j < r; ++j) rtype[j] = topo.row_type(j);
-  std::vector<double> park(nt);
-  for (std::size_t t = 0; t < nt; ++t) {
-    park[t] = topo.row_park_w(topo.slowest_row_of_type(t));
-  }
-
-  std::size_t kp = 0;
-  std::size_t j0 = 0;
-  TypedState root;
-  root.used.assign(nt, 0.0L);
-  if (prefix != nullptr) {
-    const auto pd = prefix_demand(cc, total_cores, *prefix);
-    if (!pd) {
-      res.elapsed_us = elapsed_us_since(start);
-      return res;
-    }
-    kp = prefix->size();
-    j0 = prefix->empty() ? 0 : prefix->back();
-    root.total = pd->total;
-    root.used = pd->per_type;
-  }
-
-  // A leftover core parks at its own type's slowest rung, so each row's
-  // baseline is its type's park power.
   PrunedScratch& sc = pruned_scratch();
-  sc.p.resize(r);
-  sc.above_base.resize(r);
-  for (std::size_t j = 0; j < r; ++j) {
-    sc.p[j] = topo.row_active_w(j);
-    sc.above_base[j] = static_cast<long double>(sc.p[j]) -
-                       static_cast<long double>(park[rtype[j]]);
-  }
-  // lbD bounds only the *total* demand — admissible for the per-type
-  // constraint too, since Σ_t used_t <= Σ_t m_t = m must hold regardless
-  // of split.
-  std::vector<long double> lbC;
-  std::vector<long double> lbD;
-  fill_lower_bounds(cc, kp, j0, sc.above_base, lbC, lbD);
-  const std::vector<long double>& above_base = sc.above_base;
-  const std::vector<double>& p = sc.p;
-
-  // Incumbent: budgeted typed backtracking (the Backtracker enforces
-  // per-type capacity on typed tables). Abort parity with the oracle's
-  // reference descent is preserved through res.aborted.
-  long double ub = std::numeric_limits<long double>::infinity();
-  const auto seed = run_descent(cc, total_cores, /*allow_backtrack=*/true,
-                                prefix, kIncumbentNodeBudget);
-  res.nodes_visited += seed.nodes_visited;
-  res.aborted = seed.aborted;
-  const auto chain_cost = [&](const std::vector<std::size_t>& t) {
-    long double c = 0.0L;
-    for (std::size_t i = kp; i < k; ++i) {
-      c += adjusted_cost(cc.demand(t[i], i), above_base[t[i]]);
-    }
-    return c;
-  };
-  if (seed.found) ub = chain_cost(seed.tuple);
-  // When the incumbent gave up, an unbudgeted greedy descent (<= k·r
-  // selects, no backtracking) stands in as the found-ness and
-  // upper-bound candidate the homogeneous pilot provides.
-  SearchResult greedy_seed;
-  if (seed.aborted) {
-    greedy_seed = run_descent(cc, total_cores, /*allow_backtrack=*/false,
-                              prefix);
-    res.nodes_visited += greedy_seed.nodes_visited;
-    if (greedy_seed.found) {
-      ub = std::min(ub, chain_cost(greedy_seed.tuple));
-    }
-  }
-
-  NodeArena& arena = sc.arena;
-  arena.clear();
-  arena.reserve(1024);
-
-  // Multi-dimensional dominance: a state is dropped only when another is
-  // no worse on cost and on every type's usage. Linear scan keeps the
-  // front in deterministic insertion order; on an exact all-axes tie the
-  // lex-greater chain survives, matching the documented tie-break.
-  const auto dominates = [nt](const TypedState& a, const TypedState& b) {
-    if (a.cost > b.cost) return false;
-    for (std::size_t t = 0; t < nt; ++t) {
-      if (a.used[t] > b.used[t]) return false;
-    }
-    return true;
-  };
-  const auto pareto_insert = [&](std::vector<TypedState>& front,
-                                 const TypedState& s, std::size_t depth) {
-    for (auto& e : front) {
-      if (dominates(e, s)) {
-        if (e.cost == s.cost && e.used == s.used &&
-            chain_lex_greater(sc, s.node, e.node, depth)) {
-          e.node = s.node;
-        }
-        return;
-      }
-    }
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < front.size(); ++i) {
-      if (!dominates(s, front[i])) {
-        if (w != i) front[w] = std::move(front[i]);
-        ++w;
-      }
-    }
-    front.resize(w);
-    front.push_back(s);
-  };
-
-  // Deterministic thinning past 2·cap_w: order by (total demand asc,
-  // cost desc) — stable, so insertion order breaks exact ties — and keep
-  // an evenly spaced subset including both endpoints. The min-total
-  // endpoint is the best single feasibility witness available, though
-  // with per-type capacity it is no longer an exactness proof.
-  const auto thin = [](std::vector<TypedState>& front, std::size_t cap_w) {
-    if (front.size() <= 2 * cap_w) return;
-    std::stable_sort(front.begin(), front.end(),
-                     [](const TypedState& a, const TypedState& b) {
-                       if (a.total != b.total) return a.total < b.total;
-                       return a.cost > b.cost;
-                     });
-    const std::size_t n = front.size();
-    for (std::size_t t = 0; t < cap_w; ++t) {
-      front[t] = front[t * (n - 1) / (cap_w - 1)];
-    }
-    front.resize(cap_w);
-  };
-
-  std::size_t nodes = res.nodes_visited;
-  constexpr std::size_t kFrontierCap = 64;  // as in the homogeneous DP
-  const std::size_t main_cap =
-      (r - j0) * (k - kp) <= 256 ? kFrontierCap : 6;
-
-  std::vector<std::vector<TypedState>> cur(r), nxt(r);
-  cur[j0].push_back(root);
-  std::vector<TypedState> acc;
-  for (std::size_t i = kp; i < k; ++i) {
-    acc.clear();
-    const std::size_t depth = i + 1 - kp;
-    const std::span<const char> feasible = cc.feasible_column(i);
-    const std::span<const double> demand = cc.demand_column(i);
-    for (std::size_t j = j0; j < r; ++j) {
-      for (const auto& s : cur[j]) pareto_insert(acc, s, depth - 1);
-      thin(acc, main_cap);
-      nxt[j].clear();
-      if (!feasible[j]) continue;
-      const long double dij = demand[j];
-      const long double cij = adjusted_cost(demand[j], above_base[j]);
-      const long double lb_d = lbD[(i + 1) * r + j];
-      const long double lb_c = lbC[(i + 1) * r + j];
-      const std::size_t tj = rtype[j];
-      for (const auto& s : acc) {
-        ++nodes;
-        const long double u = s.total + dij;
-        if (u + lb_d > cap + kEps) continue;
-        if (s.used[tj] + dij > tcap[tj] + kEps) continue;
-        const long double c = s.cost + cij;
-        if (c + lb_c > ub + 2 * kEps) continue;
-        const auto node = static_cast<std::uint32_t>(arena.size());
-        arena.push_back(PrunedNode{s.node, static_cast<std::uint32_t>(j)});
-        TypedState ns = s;
-        ns.used[tj] += dij;
-        ns.total = u;
-        ns.cost = c;
-        ns.node = node;
-        pareto_insert(nxt[j], ns, depth);
-      }
-      thin(nxt[j], main_cap);
-    }
-    cur.swap(nxt);
-  }
-
-  // Final selection: bit-identical to the typed tuple_energy_estimate
-  // (same accumulation order and widths), with the exhaustive tie-break.
-  const auto eval_energy = [&](const std::vector<std::size_t>& t,
-                               long double* used_out) {
-    std::vector<long double> used_t(nt, 0.0L);
-    long double used = 0.0L;
-    long double e = 0.0L;
-    for (std::size_t i = 0; i < k; ++i) {
-      const double n = cc.demand(t[i], i);
-      used += n;
-      used_t[rtype[t[i]]] += n;
-      e += static_cast<long double>(n) * p[t[i]];
-    }
-    for (std::size_t t2 = 0; t2 < nt; ++t2) {
-      if (tcap[t2] > used_t[t2]) {
-        e += (tcap[t2] - used_t[t2]) * static_cast<long double>(park[t2]);
-      }
-    }
-    *used_out = used;
-    return static_cast<double>(e);
-  };
-
-  double best_e = std::numeric_limits<double>::infinity();
-  double best_used = std::numeric_limits<double>::infinity();
-  std::vector<std::size_t> a(k, 0);
-  if (prefix != nullptr) std::copy(prefix->begin(), prefix->end(), a.begin());
-  const auto consider_tuple = [&](const std::vector<std::size_t>& t) {
-    long double u = 0.0L;
-    const double e = eval_energy(t, &u);
-    const double used_d = static_cast<double>(u);
-    bool better = e < best_e - kEps;
-    if (!better && e <= best_e + kEps) {
-      if (used_d < best_used - kEps) {
-        better = true;
-      } else if (used_d <= best_used + kEps) {
-        better = res.found && t > res.tuple;
-      }
-    }
-    if (better) {
-      best_e = std::min(best_e, e);
-      best_used = used_d;
-      res.found = true;
-      res.tuple = t;
-      res.cores_used = static_cast<std::size_t>(std::ceil(used_d - kEps));
-    }
-  };
-  if (seed.found) consider_tuple(seed.tuple);
-  if (greedy_seed.found) consider_tuple(greedy_seed.tuple);
-  for (std::size_t j = j0; j < r; ++j) {
-    for (const auto& s : cur[j]) {
-      reconstruct_chain(arena, s.node, k - kp, sc.chain_a);
-      std::copy(sc.chain_a.begin(), sc.chain_a.end(), a.begin() + kp);
-      consider_tuple(a);
-    }
-  }
-  res.nodes_visited = nodes;
-  res.elapsed_us = elapsed_us_since(start);
-  return res;
+  return pruned_dp(cc, total_cores, model, prefix,
+                   TypedFront{sc.pool_of, sc.pool_cap});
 }
 
 }  // namespace
 
-SearchResult search_exhaustive(const CCTable& cc, std::size_t total_cores,
-                               const energy::PowerModel* model) {
-  return exhaustive_core(cc, total_cores, model, nullptr);
-}
-
 SearchResult search_pruned(const CCTable& cc, std::size_t total_cores,
                            const energy::PowerModel* model) {
-  return pruned_core(cc, total_cores, model, nullptr);
+  return pruned_search(cc, total_cores, model, {});
 }
 
 void search_suffix(const CCTable& cc, std::size_t total_cores,
                    SearchKind kind, const std::vector<std::size_t>& prefix,
                    const energy::PowerModel* model, SearchResult& out) {
-  switch (kind) {
-    case SearchKind::kBacktracking:
-      run_descent(out, cc, total_cores, /*allow_backtrack=*/true, &prefix);
-      return;
-    case SearchKind::kExhaustive:
-      out = exhaustive_core(cc, total_cores, model, &prefix);
-      return;
-    case SearchKind::kGreedy:
-      run_descent(out, cc, total_cores, /*allow_backtrack=*/false, &prefix);
-      return;
-    case SearchKind::kPruned:
-      out = pruned_core(cc, total_cores, model, &prefix);
-      return;
+  if (kind == SearchKind::kPruned) {
+    out = pruned_search(cc, total_cores, model, prefix);
+  } else {
+    run_descent(out, cc, total_cores, /*allow_backtrack=*/true, prefix);
   }
-  out = SearchResult{};
 }
 
 SearchResult search_suffix(const CCTable& cc, std::size_t total_cores,
@@ -1242,21 +1080,11 @@ SearchResult search_suffix(const CCTable& cc, std::size_t total_cores,
 void search_ktuple(const CCTable& cc, std::size_t total_cores,
                    SearchKind kind, const energy::PowerModel* model,
                    SearchResult& out) {
-  switch (kind) {
-    case SearchKind::kBacktracking:
-      run_descent(out, cc, total_cores, /*allow_backtrack=*/true);
-      return;
-    case SearchKind::kExhaustive:
-      out = search_exhaustive(cc, total_cores, model);
-      return;
-    case SearchKind::kGreedy:
-      run_descent(out, cc, total_cores, /*allow_backtrack=*/false);
-      return;
-    case SearchKind::kPruned:
-      out = search_pruned(cc, total_cores, model);
-      return;
+  if (kind == SearchKind::kPruned) {
+    out = search_pruned(cc, total_cores, model);
+  } else {
+    run_descent(out, cc, total_cores, /*allow_backtrack=*/true);
   }
-  out = SearchResult{};
 }
 
 SearchResult search_ktuple(const CCTable& cc, std::size_t total_cores,

@@ -4,10 +4,13 @@
 //   (2) the search prefers the slowest feasible rungs (energy),
 //   (3) a_i <= a_j for i < j               (heavier classes run faster).
 //
-// Besides the paper's backtracking algorithm we implement an exhaustive
-// optimal search (minimizing modeled batch energy), a no-backtracking
-// greedy descent (both for the ablation benches), and the production
-// pruned DP.
+// Two production searchers: the paper's backtracking descent
+// (search_backtracking, SearchKind::kBacktracking) and the pruned DP
+// (search_pruned, SearchKind::kPruned), which minimizes modeled batch
+// energy. search_greedy is the backtracking descent with backtracking
+// disabled; the pruned DP uses it as its fallback on typed tables. The
+// exhaustive minimum-energy enumeration the pruned DP is checked
+// against lives in src/testing/ as an oracle.
 //
 // Every searcher reads each cell's demand and rung feasibility from the
 // CCTable, which derives them once at construction; a search re-derives
@@ -26,7 +29,7 @@
 namespace eewa::core {
 
 /// Which searcher to run.
-enum class SearchKind { kBacktracking, kExhaustive, kGreedy, kPruned };
+enum class SearchKind { kBacktracking, kPruned };
 
 /// Result of a k-tuple search.
 struct SearchResult {
@@ -78,14 +81,6 @@ double proxy_rung_power(const CCTable& cc, std::size_t j);
 SearchResult search_backtracking(const CCTable& cc, std::size_t total_cores,
                                  std::size_t node_budget = 0);
 
-/// Exhaustive enumeration of all feasible nondecreasing tuples; returns
-/// the one minimizing tuple_energy_estimate, with a deterministic
-/// tie-break (fewest cores used, then the lexicographically greater —
-/// slower — tuple) so equal-energy instances reproduce the same winner.
-/// Exponential in k — only for small instances / ablation.
-SearchResult search_exhaustive(const CCTable& cc, std::size_t total_cores,
-                               const energy::PowerModel* model = nullptr);
-
 /// First-descent greedy (backtracking with backtracking disabled).
 SearchResult search_greedy(const CCTable& cc, std::size_t total_cores);
 
@@ -109,8 +104,15 @@ SearchResult search_greedy(const CCTable& cc, std::size_t total_cores);
 ///     fewer cores and no less energy than another is dropped (its
 ///     completion set is a subset, so it cannot produce a better plan).
 ///
-/// Returns the same minimum-energy result as search_exhaustive, with the
-/// same documented tie-break (fewest cores used, then the
+/// On a typed table (CCTable::topology() set) capacity is per core
+/// type: a state carries one usage per type, dominance needs every
+/// type's usage no larger, leftover cores park at their own type's
+/// slowest rung, and an unbudgeted greedy descent replaces the pilot
+/// (whose min-demand chain is exact only for one capacity dimension)
+/// when the incumbent aborts.
+///
+/// Returns the same minimum-energy result as exhaustive enumeration (the
+/// testing oracle), with the same documented tie-break (fewest cores used, then the
 /// lexicographically greater — slower — tuple); within the 1e-9 energy
 /// tie window the two may pick different representatives of an
 /// equal-energy set.
@@ -134,9 +136,9 @@ SearchResult search_pruned(const CCTable& cc, std::size_t total_cores,
 /// suffix of the lattice — classes [prefix.size(), k) at rungs >=
 /// prefix.back(), against the capacity left over after the prefix's
 /// demand. The winning suffix is spliced onto the prefix. The result is
-/// optimal (kPruned/kExhaustive) or first-descent (kBacktracking/
-/// kGreedy) *conditioned on the prefix*; a full search may beat it by
-/// revising prefix rungs. Under kPruned the work past the prefix audit
+/// optimal (kPruned) or Algorithm 1's first success (kBacktracking)
+/// *conditioned on the prefix*; a full search may beat it by revising
+/// prefix rungs. An empty prefix is a full search. Under kPruned the work past the prefix audit
 /// scales with the searched region (classes [prefix.size(), k) at rungs
 /// >= prefix.back()), not with the whole table. Returns found=false when
 /// the prefix itself is invalid under `cc` (rung infeasible, nonmonotone,
@@ -152,10 +154,9 @@ SearchResult search_ktuple(const CCTable& cc, std::size_t total_cores,
                            const energy::PowerModel* model = nullptr);
 
 /// In-place forms of search_ktuple and search_suffix: the result is
-/// written into `out`. The descent searchers (kBacktracking, kGreedy)
-/// descend in out.tuple's storage, so on homogeneous tables they
-/// allocate nothing once `out` has held a tuple of the table's width;
-/// the others assign their result. The by-value forms wrap these.
+/// written into `out`. kBacktracking descends in out.tuple's storage, so
+/// on homogeneous tables it allocates nothing once `out` has held a
+/// tuple of the table's width; kPruned assigns its result. The by-value forms wrap these.
 /// `prefix` must not be `out.tuple` itself.
 void search_ktuple(const CCTable& cc, std::size_t total_cores,
                    SearchKind kind, const energy::PowerModel* model,

@@ -42,15 +42,18 @@ TEST(Adjuster, RejectsZeroCores) {
 }
 
 TEST(Adjuster, ExhaustiveOptionUsesModel) {
+  // The energy-optimal searcher plans under the adjuster's model: its
+  // tuple is the one search_pruned finds with that model.
   const auto model = energy::PowerModel::opteron8380_server();
   AdjusterOptions opt;
-  opt.search = SearchKind::kExhaustive;
+  opt.search = SearchKind::kPruned;
   opt.model = &model;
   Adjuster adj(kLadder, 16, opt);
   std::vector<ClassProfile> classes = {{0, "a", 8, 1.0}, {1, "b", 8, 0.25}};
   const auto out = adj.adjust(classes, 2, 2.0);
   ASSERT_TRUE(out.search.found);
   EXPECT_TRUE(tuple_is_valid(out.cc, out.search.tuple, 16));
+  EXPECT_EQ(out.search.tuple, search_pruned(out.cc, 16, &model).tuple);
 }
 
 TEST(Adjuster, RejectsModelOverADifferentLadder) {

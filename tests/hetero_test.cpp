@@ -24,6 +24,7 @@
 #include "sim/policies.hpp"
 #include "trace/arrivals.hpp"
 #include "sim/simulate.hpp"
+#include "testing/exhaustive_search.hpp"
 #include "testing/fuzz.hpp"
 #include "trace/synthetic.hpp"
 
@@ -187,7 +188,7 @@ TEST(TypedSearch, MatchesExhaustiveOnBigLittle) {
   const auto cc = CCTable::build_typed(classes, topo, 4.0);
   const std::size_t m = topo.total_cores();
   const auto pr = core::search_pruned(cc, m);
-  const auto ex = core::search_exhaustive(cc, m);
+  const auto ex = testing::search_exhaustive(cc, m);
   ASSERT_EQ(pr.found, ex.found);
   ASSERT_TRUE(pr.found);
   EXPECT_TRUE(core::tuple_is_valid(cc, pr.tuple, m));
@@ -215,10 +216,9 @@ TEST(TypedSearch, PerTypeCapacityBindsBeforeGlobal) {
   std::vector<ClassProfile> classes = {{0, "a", 4, 0.5}, {1, "b", 4, 0.5}};
   const auto cc = CCTable::build_typed(classes, topo, 1.0);
   const std::size_t m = topo.total_cores();
-  for (const auto kind :
-       {core::SearchKind::kBacktracking, core::SearchKind::kGreedy,
-        core::SearchKind::kPruned, core::SearchKind::kExhaustive}) {
-    const auto res = core::search_ktuple(cc, m, kind);
+  for (const auto& res :
+       {core::search_backtracking(cc, m), core::search_greedy(cc, m),
+        core::search_pruned(cc, m), testing::search_exhaustive(cc, m)}) {
     ASSERT_TRUE(res.found);
     long double fast_used = 0.0L;
     for (std::size_t i = 0; i < res.tuple.size(); ++i) {

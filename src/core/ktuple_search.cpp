@@ -393,15 +393,22 @@ using NodeArena = std::vector<PrunedNode, PageAllocator<PrunedNode>>;
 
 /// Homogeneous DP state: a partial tuple summarized by its fractional
 /// core usage, its adjusted energy, and the arena node from which the
-/// actual rung assignment can be reconstructed.
+/// actual rung assignment can be reconstructed. Its sums are plain
+/// doubles: over k = 256 additions of values up to a few hundred their
+/// round-off stays near 1e-11, well inside the 1e-9 windows every
+/// capacity and bound test uses; only the final selection's energy
+/// evaluation is widened.
 struct PrunedState {
-  long double total = 0.0L;
-  long double cost = 0.0L;
+  double total = 0.0;
+  double cost = 0.0;
   std::uint32_t node = kNoNode;
 };
 
 /// Typed DP state: as PrunedState, plus the usage split per core type
-/// (capacity is a vector on typed tables).
+/// (capacity is a vector on typed tables). Kept in long double: the
+/// typed fronts run a narrow beam on production-sized tables, and
+/// double round-off there reorders near-tied states enough to move the
+/// plans thinning keeps.
 struct TypedState {
   long double total = 0.0L;
   long double cost = 0.0L;
@@ -409,11 +416,15 @@ struct TypedState {
   std::vector<long double> used;
 };
 
-/// One sweep's frontiers, per last rung, and its running accumulator.
+/// One sweep's frontiers, per last rung, and its running accumulator,
+/// plus the per-row power above the leftover baseline (p minus the park
+/// power of a core of the row's pool) in the state's own precision.
 template <typename State>
 struct SweepBuffers {
+  using Value = decltype(State::cost);
   std::vector<std::vector<State>> cur, nxt;
   std::vector<State> acc;
+  std::vector<Value> above_base;
 };
 
 /// Buffers the pruned DP reuses from call to call on one thread, so a
@@ -424,8 +435,6 @@ struct SweepBuffers {
 /// r = 16, k = 256) and has its own pages; the rest are a few KB.
 struct PrunedScratch {
   std::vector<double> p;  ///< active power of one core per row
-  /// Per row: p minus the power a leftover core of its pool draws.
-  std::vector<long double> above_base;
   /// Leftover cores park in pools: the row's pool, each pool's size and
   /// the park power of one of its cores, and the final selection's
   /// per-pool usage (after the prefix, and per candidate).
@@ -452,13 +461,15 @@ PrunedScratch& pruned_scratch() {
 ///   E = Σ_leftover base + Σ_i d_i(a_i)·(p(a_i) - base(a_i))
 /// so the DP minimizes the per-class adjusted cost; the leftover
 /// constant drops out of every comparison.
-long double adjusted_cost(double demand, long double above_base) {
-  return static_cast<long double>(demand) * above_base;
+template <typename V>
+V adjusted_cost(double demand, V above_base) {
+  return static_cast<V>(demand) * above_base;
 }
 
 /// Fill the admissible suffix lower bounds over the searched region —
 /// classes [kp, k) at rungs [j0, r), the only cells a sweep reads — from
-/// the table's cached columns and `above_base` (one entry per rung).
+/// the table's cached columns and `above_base` (one entry per rung), in
+/// the DP's value type V.
 /// The bounds relax the chain constraint to "rung >= j" per class
 /// independently (the cost is evaluated rung by rung, so convexity is
 /// not even needed — the pointwise minimum is exact for the
@@ -470,27 +481,27 @@ long double adjusted_cost(double demand, long double above_base) {
 /// `lbC` (adjusted cost) and `lbD` (core demand) are class-major
 /// (k + 1) x r ([i * r + j]). Their size is fixed by the table, so each
 /// search allocates them once, for the call: the planner holds no
-/// 2·(k + 1)·r long doubles (130 KB at r = 16, k = 256) of heap between
-/// plans.
+/// 2·(k + 1)·r values (66 KB of doubles at r = 16, k = 256) of heap
+/// between plans.
+template <typename V>
 void fill_lower_bounds(const CCTable& cc, std::size_t kp, std::size_t j0,
-                       const std::vector<long double>& above_base,
-                       std::vector<long double>& lbC,
-                       std::vector<long double>& lbD) {
+                       const std::vector<V>& above_base, std::vector<V>& lbC,
+                       std::vector<V>& lbD) {
   const std::size_t r = cc.rows();
   const std::size_t k = cc.cols();
-  const long double inf = std::numeric_limits<long double>::infinity();
-  lbC.assign((k + 1) * r, 0.0L);  // row k: the empty suffix
-  lbD.assign((k + 1) * r, 0.0L);
+  const V inf = std::numeric_limits<V>::infinity();
+  lbC.assign((k + 1) * r, V{0});  // row k: the empty suffix
+  lbD.assign((k + 1) * r, V{0});
   for (std::size_t i = k; i-- > kp;) {
     const std::span<const char> feasible = cc.feasible_column(i);
     const std::span<const double> demand = cc.demand_column(i);
-    long double bc = inf;
-    long double bd = inf;
+    V bc = inf;
+    V bd = inf;
     for (std::size_t j = r; j-- > j0;) {
       const std::size_t at = i * r + j;
       if (feasible[j]) {
         bc = std::min(bc, adjusted_cost(demand[j], above_base[j]));
-        bd = std::min(bd, static_cast<long double>(demand[j]));
+        bd = std::min(bd, static_cast<V>(demand[j]));
       }
       lbC[at] = bc + lbC[at + r];
       lbD[at] = bd + lbD[at + r];
@@ -523,20 +534,21 @@ bool chain_lex_greater(PrunedScratch& s, std::uint32_t na, std::uint32_t nb,
 
 /// One pruned search's lattice: classes [kp, k) at rungs [j0, r) after
 /// the audited prefix, the capacity, and what the sweep and the bound
-/// step read.
+/// step read, in the DP's value type V.
+template <typename V>
 struct Lattice {
   const CCTable& cc;
   std::size_t total_cores;
   std::span<const std::size_t> prefix;
   std::size_t r, k, kp, j0;
-  long double cap;
-  const std::vector<long double>& above_base;
-  const std::vector<long double>& lbD;
+  V cap;
+  const std::vector<V>& above_base;
+  const std::vector<V>& lbD;
   PrunedScratch& sc;
 
   /// Adjusted cost of a full tuple's searched classes.
-  long double chain_cost(const std::vector<std::size_t>& t) const {
-    long double c = 0.0L;
+  V chain_cost(const std::vector<std::size_t>& t) const {
+    V c{0};
     for (std::size_t i = kp; i < k; ++i) {
       c += adjusted_cost(cc.demand(t[i], i), above_base[t[i]]);
     }
@@ -550,15 +562,16 @@ struct Lattice {
 /// sort.
 struct ScalarFront {
   using State = PrunedState;
+  using Value = double;
 
   static SweepBuffers<State>& buffers(PrunedScratch& sc) { return sc.scalar; }
 
   static State root(const PrefixUse& use) {
-    return State{use.total, 0.0L, kNoNode};
+    return State{static_cast<double>(use.total), 0.0, kNoNode};
   }
-  bool fits(const State&, std::size_t, long double) const { return true; }
-  State extend(const State&, std::size_t, long double, long double u,
-               long double c, std::uint32_t node) const {
+  bool fits(const State&, std::size_t, double) const { return true; }
+  State extend(const State&, std::size_t, double, double u, double c,
+               std::uint32_t node) const {
     return State{u, c, node};
   }
 
@@ -604,16 +617,16 @@ struct ScalarFront {
   // frontier thinning feasibility-safe), so the pilot completes whenever
   // the table is feasible and its completion cost is a valid — usually
   // tight — upper bound that collapses the main pass's frontiers to the
-  // near-optimal band. Without it, a table whose incumbent descent
-  // aborted would run the main pass against ub = inf and visit orders of
-  // magnitude more states. Its completions compete in the final
-  // selection: a tight pilot bound plus narrow-beam thinning can starve
-  // the main sweep on an adversarial table (the min-demand chain dies on
-  // the cost bound, the min-cost chain in thinning), and the pilot chain
-  // is exactly the feasible completion that proves found-ness there.
-  void tighten(const Lattice& L, const State& root, const SearchResult&,
-               long double& ub, std::size_t&) const {
-    const long double inf = std::numeric_limits<long double>::infinity();
+  // near-optimal band. Without it the main pass would run against
+  // ub = inf and visit orders of magnitude more states. Its completions
+  // compete in the final selection: a tight pilot bound plus narrow-beam
+  // thinning can starve the main sweep on an adversarial table (the
+  // min-demand chain dies on the cost bound, the min-cost chain in
+  // thinning), and the pilot chain is exactly the feasible completion
+  // that proves found-ness there.
+  void tighten(const Lattice<Value>& L, const State& root, Value& ub,
+               std::size_t&) const {
+    const double inf = std::numeric_limits<double>::infinity();
     const State none{inf, inf, kNoNode};
     PrunedScratch& sc = L.sc;
     auto& curU = sc.curU;
@@ -645,7 +658,7 @@ struct ScalarFront {
             out = none;
             return;
           }
-          const long double dij = demand[j];
+          const double dij = demand[j];
           if (!(from->total + dij + L.lbD[(i + 1) * L.r + j] <=
                 L.cap + kEps)) {
             out = none;
@@ -684,6 +697,7 @@ struct ScalarFront {
 /// the incumbent or greedy descent, or on a thinned chain surviving.
 struct TypedFront {
   using State = TypedState;
+  using Value = long double;
 
   const std::vector<std::size_t>& pool_of;
   const std::vector<long double>& pool_cap;
@@ -693,12 +707,12 @@ struct TypedFront {
   static State root(const PrefixUse& use) {
     return State{use.total, 0.0L, kNoNode, use.per_type};
   }
-  bool fits(const State& s, std::size_t j, long double dij) const {
+  bool fits(const State& s, std::size_t j, Value dij) const {
     const std::size_t t = pool_of[j];
     return !(s.used[t] + dij > pool_cap[t] + kEps);
   }
-  State extend(const State& s, std::size_t j, long double dij, long double u,
-               long double c, std::uint32_t node) const {
+  State extend(const State& s, std::size_t j, Value dij, Value u, Value c,
+               std::uint32_t node) const {
     State ns = s;
     ns.used[pool_of[j]] += dij;
     ns.total = u;
@@ -751,22 +765,30 @@ struct TypedFront {
   }
 
   // Bound step: the scalar pilot's min-demand chain is only exact for
-  // one-dimensional capacity, so when the incumbent gave up an
-  // unbudgeted greedy descent (<= k·r selects, no backtracking) stands in
-  // as the found-ness and upper-bound candidate.
-  void tighten(const Lattice& L, const State&, const SearchResult& seed,
-               long double& ub, std::size_t& nodes) const {
-    if (!seed.aborted) return;
-    const auto greedy = run_descent(L.cc, L.total_cores,
-                                    /*allow_backtrack=*/false, L.prefix);
-    nodes += greedy.nodes_visited;
-    if (!greedy.found) return;
-    ub = std::min(ub, L.chain_cost(greedy.tuple));
+  // one-dimensional capacity, so descents stand in as the found-ness and
+  // upper-bound candidate: Algorithm 1's backtracking descent (per-type
+  // capacity), budgeted at kIncumbentNodeBudget because adversarial
+  // tables make it exponential, and when that gives up an unbudgeted
+  // greedy descent (<= k·r selects, no backtracking). The typed beam
+  // keeps the backtracking incumbent: its completion is the plan on
+  // tables where thinning drops the optimal chain.
+  void tighten(const Lattice<Value>& L, const State&, Value& ub,
+               std::size_t& nodes) const {
+    auto seed = run_descent(L.cc, L.total_cores, /*allow_backtrack=*/true,
+                            L.prefix, kIncumbentNodeBudget);
+    nodes += seed.nodes_visited;
+    if (seed.aborted) {
+      seed = run_descent(L.cc, L.total_cores, /*allow_backtrack=*/false,
+                         L.prefix);
+      nodes += seed.nodes_visited;
+    }
+    if (!seed.found) return;
+    ub = std::min(ub, L.chain_cost(seed.tuple));
     // Its completion competes in the final selection as an arena chain.
     std::uint32_t node = kNoNode;
     for (std::size_t i = L.kp; i < L.k; ++i) {
       L.sc.arena.push_back(
-          PrunedNode{node, static_cast<std::uint32_t>(greedy.tuple[i])});
+          PrunedNode{node, static_cast<std::uint32_t>(seed.tuple[i])});
       node = static_cast<std::uint32_t>(L.sc.arena.size() - 1);
     }
     L.sc.extra.push_back(node);
@@ -797,19 +819,18 @@ void thin(std::vector<typename Front::State>& front, std::size_t cap_w) {
 /// are reachable) and returns the number of states it extended. A
 /// function of its own, not a block of pruned_dp: compiled inside that
 /// larger body, the same loop ran about 1.5x slower at r = 16, k = 256.
-template <typename Front>
-std::size_t sweep(const Lattice& L, const Front& front,
+template <typename Front, typename V = typename Front::Value>
+std::size_t sweep(const Lattice<V>& L, const Front& front,
                   const typename Front::State& root,
-                  const std::vector<long double>& lbC, std::size_t cap_w,
-                  long double ub) {
+                  const std::vector<V>& lbC, std::size_t cap_w, V ub) {
   const CCTable& cc = L.cc;
   const std::size_t r = L.r;
   const std::size_t k = L.k;
   const std::size_t kp = L.kp;
   const std::size_t j0 = L.j0;
-  const long double cap = L.cap;
-  const std::vector<long double>& above_base = L.above_base;
-  const std::vector<long double>& lbD = L.lbD;
+  const V cap = L.cap;
+  const std::vector<V>& above_base = L.above_base;
+  const std::vector<V>& lbD = L.lbD;
   PrunedScratch& sc = L.sc;
   NodeArena& arena = sc.arena;
   SweepBuffers<typename Front::State>& buf = Front::buffers(sc);
@@ -837,16 +858,16 @@ std::size_t sweep(const Lattice& L, const Front& front,
       thin<Front>(acc, cap_w);
       nxt[j].clear();
       if (!feasible[j]) continue;
-      const long double dij = demand[j];
-      const long double cij = adjusted_cost(demand[j], above_base[j]);
-      const long double lb_d = lbD[(i + 1) * r + j];
-      const long double lb_c = lbC[(i + 1) * r + j];
+      const V dij = demand[j];
+      const V cij = adjusted_cost(demand[j], above_base[j]);
+      const V lb_d = lbD[(i + 1) * r + j];
+      const V lb_c = lbC[(i + 1) * r + j];
       for (const auto& s : acc) {
         ++nodes;
-        const long double u = s.total + dij;
+        const V u = s.total + dij;
         if (u + lb_d > cap + kEps) continue;  // cannot fit even optimistically
         if (!front.fits(s, j, dij)) continue;
-        const long double c = s.cost + cij;
+        const V c = s.cost + cij;
         if (c + lb_c > ub + 2 * kEps) continue;  // outside the tie window
         const auto node = static_cast<std::uint32_t>(arena.size());
         arena.push_back(PrunedNode{s.node, static_cast<std::uint32_t>(j)});
@@ -867,6 +888,7 @@ SearchResult pruned_dp(const CCTable& cc, std::size_t total_cores,
                        const energy::PowerModel* model,
                        std::span<const std::size_t> prefix, Front front) {
   using State = typename Front::State;
+  using V = typename Front::Value;
   const auto start = Clock::now();
   SearchResult res;
   const auto use = prefix_demand(cc, total_cores, prefix);
@@ -878,7 +900,7 @@ SearchResult pruned_dp(const CCTable& cc, std::size_t total_cores,
   const std::size_t k = cc.cols();
   const std::size_t kp = prefix.size();
   const std::size_t j0 = prefix.empty() ? 0 : prefix.back();
-  const long double cap = static_cast<long double>(total_cores);
+  const auto cap = static_cast<V>(total_cores);
 
   // Leftover cores park in pools, each core at its pool's park power: a
   // homogeneous table is one pool of m cores at the slowest rung, a
@@ -899,43 +921,34 @@ SearchResult pruned_dp(const CCTable& cc, std::size_t total_cores,
     sc.pool_cap[0] = cap;
     sc.pool_park[0] = leftover_power(cc, r - 1, model);
   }
+  std::vector<V>& above_base = Front::buffers(sc).above_base;
   sc.p.resize(r);
   sc.pool_of.resize(r);
-  sc.above_base.resize(r);
+  above_base.resize(r);
   for (std::size_t j = 0; j < r; ++j) {
     sc.p[j] = rung_power(cc, j, model);
     sc.pool_of[j] = topo != nullptr ? topo->row_type(j) : 0;
-    sc.above_base[j] = static_cast<long double>(sc.p[j]) -
-                       static_cast<long double>(sc.pool_park[sc.pool_of[j]]);
+    above_base[j] = static_cast<V>(sc.p[j]) -
+                    static_cast<V>(sc.pool_park[sc.pool_of[j]]);
   }
-  std::vector<long double> lbC;
-  std::vector<long double> lbD;
-  fill_lower_bounds(cc, kp, j0, sc.above_base, lbC, lbD);
-  const std::vector<long double>& above_base = sc.above_base;
-  const Lattice lat{cc, total_cores, prefix, r, k, kp, j0, cap,
-                    above_base, lbD, sc};
+  std::vector<V> lbC;
+  std::vector<V> lbD;
+  fill_lower_bounds(cc, kp, j0, above_base, lbC, lbD);
+  const Lattice<V> lat{cc, total_cores, prefix, r, k, kp, j0, cap,
+                       above_base, lbD, sc};
 
-  // Incumbent: Algorithm 1's backtracking descent (per-type capacity on
-  // typed tables) primes the bound. Its solution is feasible, so the
-  // optimum's adjusted cost cannot exceed the incumbent's; anything
-  // provably above it (outside the tie window) is dead. Budgeted:
-  // adversarial tables make the descent exponential; the DP is complete
-  // on its own, an aborted incumbent only weakens the pruning. Abort
-  // parity with the oracle's reference descent is kept through
-  // res.aborted.
-  const auto seed = run_descent(cc, total_cores, /*allow_backtrack=*/true,
-                                prefix, kIncumbentNodeBudget);
-  res.aborted = seed.aborted;
-  long double ub = seed.found ? lat.chain_cost(seed.tuple)
-                              : std::numeric_limits<long double>::infinity();
-  std::size_t nodes = seed.nodes_visited;
-
+  // Upper bound: the front's bound step completes a few cheap chains
+  // (the scalar pilot, or descents on typed tables). Each is feasible,
+  // so the optimum's adjusted cost cannot exceed theirs, and the sweep
+  // cuts anything provably above it (outside the tie window).
+  V ub = std::numeric_limits<V>::infinity();
+  std::size_t nodes = 0;
   NodeArena& arena = sc.arena;
   arena.clear();
   arena.reserve(1024);
   sc.extra.clear();
   const State root = Front::root(*use);
-  front.tighten(lat, root, seed, ub, nodes);
+  front.tighten(lat, root, ub, nodes);
 
   // Main-pass width: full (never binds at r·k <= 25, where exhaustive
   // equality is the contract; past that, natural fronts stay narrow up
@@ -997,18 +1010,6 @@ SearchResult pruned_dp(const CCTable& cc, std::size_t total_cores,
   double best_used = std::numeric_limits<double>::infinity();
   std::vector<std::size_t> a(k, 0);
   std::copy(prefix.begin(), prefix.end(), a.begin());
-  if (seed.found) {
-    // The incumbent competes directly, so the result is never worse than
-    // a completed backtracking descent even if frontier thinning dropped
-    // the optimal DP chain on an adversarial table.
-    long double u = 0.0L;
-    best_e = eval_energy(seed.tuple, &u);
-    best_used = static_cast<double>(u);
-    res.found = true;
-    res.tuple = seed.tuple;
-    res.cores_used = static_cast<std::size_t>(
-        std::ceil(static_cast<double>(u) - kEps));
-  }
   const auto consider = [&](std::uint32_t node) {
     reconstruct_chain(arena, node, k - kp, sc.chain_a);
     std::copy(sc.chain_a.begin(), sc.chain_a.end(), a.begin() + kp);

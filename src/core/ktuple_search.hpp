@@ -38,23 +38,21 @@ struct SearchResult {
   std::size_t cores_used = 0;      ///< Σ ceil(CC[a_i][i])
   std::size_t nodes_visited = 0;   ///< Select() calls (search effort)
   double elapsed_us = 0.0;         ///< wall time of the search
-  /// A node budget stopped the search before it covered the space:
-  /// found=false then means "gave up", not "proved infeasible". Never
-  /// set by search_pruned itself (its feasibility answer is exact) —
-  /// there it reports that the *incumbent* descent gave up, so optimality
-  /// relative to backtracking is no longer guaranteed.
+  /// A node budget stopped a backtracking descent before it covered the
+  /// space: found=false then means "gave up", not "proved infeasible".
+  /// search_pruned never sets it (it takes no budget, and its
+  /// feasibility answer is exact).
   bool aborted = false;
 };
 
-/// Node budget adversarial tables are cut off at: Algorithm 1's
-/// backtracking is exponential in the worst case (a maze-like capacity
-/// cliff at k=256 can visit billions of nodes), so the pruned searcher's
-/// incumbent descent and the differential oracle both stop after this
-/// many Select() calls. Sized so an aborting descent costs ~100us — a
-/// small slice of the pruned searcher's sub-millisecond plan budget at
-/// production scale — while a clean descent (~k selects) never comes
-/// close. The oracle's reference backtracking run uses the same constant
-/// so abort parity between the two stays a checkable invariant.
+/// Node budget for a backtracking descent on tables that may be
+/// adversarial: Algorithm 1's backtracking is exponential in the worst
+/// case (a maze-like capacity cliff at k=256 can visit billions of
+/// nodes), so the pruned searcher's incumbent descent on typed tables
+/// and the reference runs of the differential oracle and
+/// bench_ablation_search stop after this many Select() calls. A clean
+/// descent (~k selects) never comes close. The homogeneous pruned
+/// searcher runs no descent.
 inline constexpr std::size_t kIncumbentNodeBudget = 4'096;
 
 /// Estimated relative batch energy of a tuple: claimed cores spin/work at
@@ -94,12 +92,13 @@ SearchResult search_greedy(const CCTable& cc, std::size_t total_cores);
 ///     rung) pair the cheapest possible remaining energy and demand are
 ///     precomputed (each class independently at its best rung — a
 ///     relaxation, so never an overestimate) and any partial tuple whose
-///     optimistic completion cannot beat the incumbent (or fit the core
-///     budget) is cut;
-///   - incumbent seeding: Algorithm 1's backtracking solution primes the
-///     upper bound before the sweep starts, and a near-free scalar beam
-///     pilot pass tightens it further (so the main sweep only ever
-///     explores the near-optimal band, even when the descent aborted);
+///     optimistic completion cannot beat the upper bound (or fit the
+///     core budget) is cut;
+///   - upper-bound seeding: before the sweep starts, a near-free scalar
+///     two-chain pilot pass over the same lattice (min-demand and
+///     min-cost chain per last rung) completes a feasible tuple whose
+///     cost primes the upper bound, so the main sweep only ever explores
+///     the near-optimal band;
 ///   - dominance: a partial tuple ending at the same rung that uses no
 ///     fewer cores and no less energy than another is dropped (its
 ///     completion set is a subset, so it cannot produce a better plan).
@@ -107,9 +106,18 @@ SearchResult search_greedy(const CCTable& cc, std::size_t total_cores);
 /// On a typed table (CCTable::topology() set) capacity is per core
 /// type: a state carries one usage per type, dominance needs every
 /// type's usage no larger, leftover cores park at their own type's
-/// slowest rung, and an unbudgeted greedy descent replaces the pilot
-/// (whose min-demand chain is exact only for one capacity dimension)
-/// when the incumbent aborts.
+/// slowest rung, and descents replace the pilot, whose min-demand chain
+/// is exact only for one capacity dimension: Algorithm 1's backtracking
+/// descent budgeted at kIncumbentNodeBudget, and an unbudgeted greedy
+/// descent (at most k·r selects) when that gives up. Either completion
+/// primes the bound and competes in the final selection.
+///
+/// On homogeneous tables the DP's sums (state usage and cost, lower
+/// bounds, pilot, sweep) are doubles, whose round-off at k=256 (~1e-11)
+/// stays well inside the 1e-9 capacity and tie windows; typed tables
+/// keep them in long double. Either way the final selection evaluates
+/// each surviving candidate in long double, bit-identical to
+/// tuple_energy_estimate.
 ///
 /// Returns the same minimum-energy result as exhaustive enumeration (the
 /// testing oracle), with the same documented tie-break (fewest cores used, then the
@@ -122,12 +130,12 @@ SearchResult search_greedy(const CCTable& cc, std::size_t total_cores);
 /// Worst-case guardrails (adversarial tables only — neither binds at
 /// r·k <= 25, so the exhaustive-equality contract above is unconditional
 /// there): frontiers wider than an internal cap are thinned to a
-/// deterministic evenly-spaced subset that always keeps both endpoints,
-/// and the incumbent descent stops at kIncumbentNodeBudget nodes. The
-/// feasibility answer stays exact either way (the minimum-demand chain
-/// survives thinning), and the result is never worse than the incumbent
-/// whenever that descent completed (the incumbent tuple re-enters the
-/// final selection).
+/// deterministic evenly-spaced subset that always keeps both endpoints.
+/// The feasibility answer stays exact on homogeneous tables (the
+/// minimum-demand chain survives thinning, and the pilot's completed
+/// chains re-enter the final selection), and the differential oracle
+/// checks the result is never worse than a completed backtracking
+/// descent.
 SearchResult search_pruned(const CCTable& cc, std::size_t total_cores,
                            const energy::PowerModel* model = nullptr);
 

@@ -292,8 +292,10 @@ TEST(RuntimeObservability, ReportReconcilesAndTraceValidates) {
   std::vector<rt::TaskDesc> batch2;
   for (int i = 0; i < 64; ++i) {
     batch2.push_back(rt::TaskDesc{"plain", [&counter] {
-                                    volatile int x = 0;
-                                    for (int k = 0; k < 5000; ++k) x += k;
+                                    volatile unsigned x = 0;
+                                    for (unsigned k = 0; k < 5000; ++k) {
+                                      x = x + k;
+                                    }
                                     (void)x;
                                     counter.fetch_add(1);
                                   }});

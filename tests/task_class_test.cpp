@@ -3,6 +3,10 @@
 // descending-workload iteration profile that feeds the CC table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/task_class.hpp"
 
 namespace eewa::core {
@@ -107,6 +111,41 @@ TEST(TaskClassRegistry, ProfileTieBreaksDeterministically) {
   ASSERT_EQ(profile.size(), 2u);
   EXPECT_EQ(profile[0].class_id, a);  // lower id wins ties
   EXPECT_EQ(profile[1].class_id, b);
+}
+
+TEST(TaskClassRegistry, ProfileOrderMatchesProfileComparator) {
+  // Many classes in a few groups of equal means, some idle, recorded out
+  // of id order: the profile must come out in the order a sort of the
+  // profiles themselves by (mean descending, class id ascending) gives,
+  // and the reusing form must agree with the fresh one.
+  TaskClassRegistry reg;
+  std::vector<std::size_t> ids;
+  for (int c = 0; c < 40; ++c) {
+    ids.push_back(reg.intern("c" + std::to_string(c)));
+  }
+  for (int c = 39; c >= 0; --c) {
+    if (c % 7 == 3) continue;  // idle this iteration
+    reg.record(ids[static_cast<std::size_t>(c)], 1.0 + (c * 5 % 4));
+  }
+  const auto profile = reg.iteration_profile();
+  ASSERT_EQ(profile.size(), 34u);
+  auto expected = profile;
+  std::sort(expected.begin(), expected.end(),
+            [](const ClassProfile& a, const ClassProfile& b) {
+              if (a.mean_workload != b.mean_workload) {
+                return a.mean_workload > b.mean_workload;
+              }
+              return a.class_id < b.class_id;
+            });
+  std::vector<ClassProfile> reused(3);
+  reg.iteration_profile(reused);
+  ASSERT_EQ(reused.size(), profile.size());
+  for (std::size_t n = 0; n < profile.size(); ++n) {
+    EXPECT_EQ(profile[n].class_id, expected[n].class_id) << "slot " << n;
+    EXPECT_EQ(profile[n].name, "c" + std::to_string(profile[n].class_id));
+    EXPECT_EQ(reused[n].class_id, profile[n].class_id) << "slot " << n;
+    EXPECT_EQ(reused[n].name, profile[n].name) << "slot " << n;
+  }
 }
 
 TEST(ClassProfile, TotalWorkload) {

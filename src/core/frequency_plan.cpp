@@ -1,5 +1,7 @@
 #include "core/frequency_plan.hpp"
 
+#include "core/core_pools.hpp"
+
 #include <algorithm>
 #include <stdexcept>
 
@@ -25,11 +27,10 @@ namespace {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-/// Per-rung (per flattened row, on typed tables) carving state, indexed
-/// by rung and walked in ascending rung order wherever the carve sums or
-/// scans, so every sum runs in the same order on every plan. Reused
-/// per thread: a carve allocates nothing once a table of this height
-/// has been carved.
+/// Per-row carving state, indexed by CC row and walked in ascending row
+/// order wherever the carve sums or scans, so every sum runs in the same
+/// order on every plan. Reused per thread: a carve allocates nothing
+/// once a table of this height has been carved.
 struct CarveScratch {
   std::vector<double> demand;       ///< fractional demand per rung
   std::vector<char> selected;       ///< some (unfolded) class runs here
@@ -38,7 +39,7 @@ struct CarveScratch {
   std::vector<std::size_t> remap;   ///< folded rung -> rung it folded into
   std::vector<std::size_t> group;   ///< rung -> c-group index
   std::vector<std::size_t> pool;    ///< one core pool's selected rungs
-  std::vector<std::size_t> next_core;  ///< per type: next core id to hand out
+  std::vector<std::size_t> next_core;  ///< per pool: next core id to hand out
 
   void reset(std::size_t rungs) {
     demand.assign(rungs, 0.0);
@@ -85,16 +86,15 @@ struct CarveScratch {
     remap[victim] = into;
   }
 
-  /// Carve one core pool (the machine, or one core type) of `budget`
-  /// cores over its selected rungs, `pool` (ascending). Surplus rungs
-  /// fold into the next-faster selected one (never slower, so
-  /// feasibility is preserved) until each can have a core. Then floor
-  /// each rung's demand (at least one core), shed from the most
-  /// over-provisioned rungs while over budget (never below 1), and top
-  /// up by largest remainder, fastest rung first on ties, while cores
-  /// remain and some rung is still short of its demand. Leftover cores
-  /// park at `slowest` or join the slowest selected rung. Returns the
-  /// cores claimed (leftovers excluded).
+  /// Carve one core pool of `budget` cores over its selected rungs,
+  /// `pool` (ascending). Surplus rungs fold into the next-faster
+  /// selected one (never slower, so feasibility is preserved) until
+  /// each can have a core. Then floor each rung's demand (at least one
+  /// core), shed from the most over-provisioned rungs while over budget
+  /// (never below 1), and top up by largest remainder, fastest rung
+  /// first on ties, while cores remain and some rung is still short of
+  /// its demand. Leftover cores park at `slowest` or join the slowest
+  /// selected rung. Returns the cores claimed (leftovers excluded).
   std::size_t carve_pool(std::size_t budget, std::size_t slowest,
                          LeftoverPolicy policy) {
     while (pool.size() > budget) {
@@ -175,71 +175,6 @@ CarveScratch& carve_scratch() {
   return scratch;
 }
 
-/// Typed carving: the tuple's entries are flattened topology rows, and
-/// every core type carves its own core-id range with the same
-/// fold/shed/largest-remainder algorithm the homogeneous path uses —
-/// folds stay within the type (into the next-faster row of the same
-/// cluster), leftovers of a type park on that type's own slowest rung,
-/// and a type no class selected parks entirely. Groups are emitted in
-/// global row order, so group 0 is the globally fastest populated row.
-void make_typed_plan(const CCTable& cc, const MachineTopology& topo,
-                     const SearchResult& sr, std::size_t total_cores,
-                     std::size_t registry_class_count, LeftoverPolicy policy,
-                     FrequencyPlan& plan) {
-  if (total_cores != topo.total_cores()) {
-    throw std::invalid_argument(
-        "make_frequency_plan: core count does not match the topology");
-  }
-  CarveScratch& s = carve_scratch();
-  const std::size_t rows = topo.row_count();
-  s.reset(rows);
-  s.add_tuple(cc, sr.tuple);
-  if (s.total_demand() > static_cast<double>(total_cores) + 1e-6) {
-    throw std::invalid_argument("make_frequency_plan: tuple over capacity");
-  }
-
-  std::size_t claimed = 0;
-  for (std::size_t t = 0; t < topo.type_count(); ++t) {
-    const std::size_t mt = topo.type(t).count;
-    // This type's selected rows, ascending row index. Within a type,
-    // global row order is ascending rung order (effective speed is
-    // strictly decreasing across a type's rungs), so the pool is
-    // fastest-first and folds stay inside the type.
-    s.pool.clear();
-    for (std::size_t row = 0; row < rows; ++row) {
-      if (s.selected[row] && topo.row_type(row) == t) s.pool.push_back(row);
-    }
-    if (s.pool.empty()) {
-      // No class touches this cluster: park all its cores at its
-      // slowest rung (under either leftover policy — there is no
-      // selected group of this type to join).
-      s.add_cores(topo.slowest_row_of_type(t), mt);
-      continue;
-    }
-    claimed += s.carve_pool(mt, topo.slowest_row_of_type(t), policy);
-  }
-
-  // Emit groups in global row order (fastest populated row first). Each
-  // type hands out its own contiguous core-id range.
-  s.next_core.resize(topo.type_count());
-  for (std::size_t t = 0; t < topo.type_count(); ++t) {
-    s.next_core[t] = topo.first_core(t);
-  }
-  plan.layout.reset(total_cores, registry_class_count);
-  for (std::size_t row = 0; row < rows; ++row) {
-    const std::size_t n = s.cores[row];
-    if (!s.present[row] || n == 0) continue;
-    const std::size_t t = topo.row_type(row);
-    s.group[row] = plan.layout.group_count();
-    dvfs::CGroup& g = plan.layout.add_group(topo.row_rung(row), t);
-    for (std::size_t c = 0; c < n; ++c) g.cores.push_back(s.next_core[t]++);
-  }
-  s.map_classes(cc, sr.tuple, registry_class_count, plan.layout);
-  plan.planned = true;
-  plan.tuple = sr.tuple;
-  plan.claimed_cores = claimed;
-}
-
 }  // namespace
 
 void make_frequency_plan(const CCTable& cc, const SearchResult& sr,
@@ -254,45 +189,58 @@ void make_frequency_plan(const CCTable& cc, const SearchResult& sr,
   if (sr.tuple.size() != cc.cols()) {
     throw std::invalid_argument("make_frequency_plan: tuple/table mismatch");
   }
-  if (const MachineTopology* topo = cc.topology()) {
-    // Typed tables carve per core type; `ladder` is ignored (each type
-    // brings its own).
-    make_typed_plan(cc, *topo, sr, total_cores, registry_class_count, policy,
-                    plan);
-    return;
+  // A typed table brings its own ladders; `ladder` describes a
+  // homogeneous table's rows.
+  const CorePools& pools = describe_pools(cc, total_cores, &ladder);
+  std::size_t pooled = 0;
+  for (const CorePool& q : pools.pool) pooled += q.cores;
+  if (pooled != total_cores) {
+    throw std::invalid_argument(
+        "make_frequency_plan: core count does not match the topology");
   }
-
-  // Fractional core demand per rung (matching the search's capacity
-  // accounting), then integral carving: floor each rung's demand (at
-  // least one core per selected rung) and hand out the remaining cores
-  // by largest remainder until every rung's demand is covered.
+  // Fractional core demand per row (matching the search's capacity
+  // accounting), then each pool carves its own cores over its selected
+  // rows, fastest first (a pool's rows run in ascending rung order):
+  // folds stay inside the pool, its leftovers park at its slowest row,
+  // and a pool no class selected parks entirely (under either policy:
+  // there is no selected group of it to join).
   CarveScratch& s = carve_scratch();
-  const std::size_t rungs = std::max(cc.rows(), ladder.size());
-  s.reset(rungs);
+  const std::size_t rows = cc.rows();
+  s.reset(rows);
   s.add_tuple(cc, sr.tuple);
   if (s.total_demand() > static_cast<double>(total_cores) + 1e-6) {
     // A found tuple always fits; guard against inconsistent inputs.
     throw std::invalid_argument("make_frequency_plan: tuple over capacity");
   }
-
-  s.pool.clear();
-  for (std::size_t rung = 0; rung < rungs; ++rung) {
-    if (s.selected[rung]) s.pool.push_back(rung);
-  }
-  const std::size_t claimed =
-      s.carve_pool(total_cores, ladder.slowest_index(), policy);
-
-  // Carve core ids in rung order (fastest rung gets the lowest ids; ids
-  // are logical worker indices, so the carving is arbitrary but stable).
-  plan.layout.reset(total_cores, registry_class_count);
-  std::size_t next_core = 0;
-  for (std::size_t rung = 0; rung < rungs; ++rung) {
-    if (!s.present[rung]) continue;
-    s.group[rung] = plan.layout.group_count();
-    dvfs::CGroup& g = plan.layout.add_group(rung);
-    for (std::size_t c = 0; c < s.cores[rung]; ++c) {
-      g.cores.push_back(next_core++);
+  std::size_t claimed = 0;
+  for (std::size_t q = 0; q < pools.pool.size(); ++q) {
+    s.pool.clear();
+    for (std::size_t row = 0; row < rows; ++row) {
+      if (s.selected[row] && pools.pool_of[row] == q) s.pool.push_back(row);
     }
+    if (s.pool.empty()) {
+      s.add_cores(pools.pool[q].slowest_row, pools.pool[q].cores);
+    } else {
+      claimed += s.carve_pool(pools.pool[q].cores, pools.pool[q].slowest_row,
+                              policy);
+    }
+  }
+
+  // Emit groups in row order, so group 0 is the fastest populated row.
+  // Each pool hands out its own contiguous core-id range (ids are
+  // logical worker indices, so the carving is arbitrary but stable).
+  s.next_core.resize(pools.pool.size());
+  for (std::size_t q = 0; q < pools.pool.size(); ++q) {
+    s.next_core[q] = pools.pool[q].first_core;
+  }
+  plan.layout.reset(total_cores, registry_class_count);
+  for (std::size_t row = 0; row < rows; ++row) {
+    const std::size_t n = s.cores[row];
+    if (!s.present[row] || n == 0) continue;
+    const std::size_t q = pools.pool_of[row];
+    s.group[row] = plan.layout.group_count();
+    dvfs::CGroup& g = plan.layout.add_group(pools.rung[row], q);
+    for (std::size_t c = 0; c < n; ++c) g.cores.push_back(s.next_core[q]++);
   }
   s.map_classes(cc, sr.tuple, registry_class_count, plan.layout);
   plan.planned = true;

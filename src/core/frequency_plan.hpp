@@ -49,14 +49,15 @@ struct FrequencyPlan {
 /// the CC table map to group 0). If the search failed, returns the
 /// uniform-F0 fallback plan.
 ///
-/// Typed tables (cc.topology() != nullptr) carve per core type: tuple
-/// entries are flattened (type, rung) rows, each type's cores are carved
-/// within its own contiguous core-id range, folds stay inside the type,
-/// leftovers of a type park at that type's slowest rung, and a type no
-/// class selected parks entirely. `ladder` is ignored on that path. The
-/// uniform fallback needs no typed variant: rung 0 is every type's
-/// fastest rung, so the all-cores group at freq_index 0 is correct on
-/// any topology.
+/// Each core pool of the table (see ktuple_search.hpp) carves its own
+/// contiguous core-id range: folds stay inside the pool, its leftovers
+/// park at its slowest row, and a pool no class selected parks
+/// entirely. A homogeneous table is one pool whose rows are `ladder`'s
+/// rungs, so a ladder of another height throws std::invalid_argument; a
+/// typed table's pools bring their own ladders and `ladder` is unused,
+/// but `total_cores` must be the topology's. The uniform fallback needs
+/// no typed variant: rung 0 is every type's fastest rung, so the
+/// all-cores group at freq_index 0 is correct on any topology.
 FrequencyPlan make_frequency_plan(const CCTable& cc, const SearchResult& sr,
                                   std::size_t total_cores,
                                   const dvfs::FrequencyLadder& ladder,

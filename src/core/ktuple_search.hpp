@@ -12,11 +12,17 @@
 // exhaustive minimum-energy enumeration the pruned DP is checked
 // against lives in src/testing/ as an oracle.
 //
+// Capacity and parking come in core pools (core/core_pools.hpp): one
+// pool of m cores on a homogeneous table, one per core type on a typed
+// table (CCTable::topology() set), whose rows are flattened (type, rung)
+// pairs.
+//
 // Every searcher reads each cell's demand and rung feasibility from the
 // CCTable, which derives them once at construction; a search re-derives
-// nothing per node. The pruned DP also keeps its arena and frontiers
-// in per-thread buffers reused from call to call, and a suffix search
-// fills its lower bounds only over the searched region of the lattice.
+// nothing per node. The searchers keep their per-pool usage, and the
+// pruned DP its arena and frontiers, in per-thread buffers reused from
+// call to call, and a suffix search fills its lower bounds only over
+// the searched region of the lattice.
 #pragma once
 
 #include <cstddef>
@@ -56,9 +62,11 @@ struct SearchResult {
 inline constexpr std::size_t kIncumbentNodeBudget = 4'096;
 
 /// Estimated relative batch energy of a tuple: claimed cores spin/work at
-/// their rung for the whole iteration, unclaimed cores are parked at the
-/// slowest rung. Power comes from `model` when given, else from a cubic
-/// (f/F0)³ proxy. Lower is better; units are arbitrary (watt-like).
+/// their rung for the whole iteration, unclaimed cores are parked at
+/// their pool's slowest row. Power comes from `model` when given, else
+/// from a cubic (f/F0)³ proxy; a typed table prices every row from its
+/// topology and ignores `model`. Lower is better; units are arbitrary
+/// (watt-like).
 double tuple_energy_estimate(const CCTable& cc,
                              const std::vector<std::size_t>& tuple,
                              std::size_t total_cores,
@@ -68,8 +76,9 @@ double tuple_energy_estimate(const CCTable& cc,
 /// at rung j when no PowerModel is supplied: (F_j/F_0)³, with F_0/F_j
 /// recovered from the table's own columns (CCTable::proxy_slowdown: the
 /// largest per-class slowdown — the least memory-bound class — is the
-/// tightest lower bound available). O(1). Exposed for the fuzz harness's
-/// power-consistency oracle.
+/// tightest lower bound available); a typed table's row power from its
+/// topology. Prices the whole table (O(r)); exposed for the fuzz
+/// harness's power-consistency oracle.
 double proxy_rung_power(const CCTable& cc, std::size_t j);
 
 /// Paper Algorithm 1: depth-first descent from the slowest rungs with
@@ -82,8 +91,9 @@ SearchResult search_backtracking(const CCTable& cc, std::size_t total_cores,
 /// First-descent greedy (backtracking with backtracking disabled).
 SearchResult search_greedy(const CCTable& cc, std::size_t total_cores);
 
-/// Energy-optimal search that scales to production tables (r=16, k=256):
-/// a dynamic program over the nondecreasing-tuple lattice. States are
+/// Minimum-energy search over the nondecreasing-tuple lattice, exact on
+/// small tables and a bounded beam at production scale (r=16, k=256;
+/// see the guardrails below for what holds there). States are
 /// (class boundary, last rung) pairs carrying Pareto frontiers of
 /// (cores used, energy so far); three exact reductions keep the
 /// frontiers small:
@@ -103,14 +113,13 @@ SearchResult search_greedy(const CCTable& cc, std::size_t total_cores);
 ///     fewer cores and no less energy than another is dropped (its
 ///     completion set is a subset, so it cannot produce a better plan).
 ///
-/// On a typed table (CCTable::topology() set) capacity is per core
-/// type: a state carries one usage per type, dominance needs every
-/// type's usage no larger, leftover cores park at their own type's
-/// slowest rung, and descents replace the pilot, whose min-demand chain
-/// is exact only for one capacity dimension: Algorithm 1's backtracking
-/// descent budgeted at kIncumbentNodeBudget, and an unbudgeted greedy
-/// descent (at most k·r selects) when that gives up. Either completion
-/// primes the bound and competes in the final selection.
+/// On a typed table a state carries one usage per pool, dominance needs
+/// every pool's usage no larger, and descents replace the pilot, whose
+/// min-demand chain is exact only for one capacity dimension:
+/// Algorithm 1's backtracking descent budgeted at kIncumbentNodeBudget,
+/// and an unbudgeted greedy descent (at most k·r selects) when that
+/// gives up. Either completion primes the bound and competes in the
+/// final selection.
 ///
 /// On homogeneous tables the DP's sums (state usage and cost, lower
 /// bounds, pilot, sweep) are doubles, whose round-off at k=256 (~1e-11)
@@ -119,23 +128,30 @@ SearchResult search_greedy(const CCTable& cc, std::size_t total_cores);
 /// each surviving candidate in long double, bit-identical to
 /// tuple_energy_estimate.
 ///
-/// Returns the same minimum-energy result as exhaustive enumeration (the
-/// testing oracle), with the same documented tie-break (fewest cores used, then the
-/// lexicographically greater — slower — tuple); within the 1e-9 energy
-/// tie window the two may pick different representatives of an
-/// equal-energy set.
+/// What it returns depends on the searched lattice's size, (r - j0)·
+/// (k - kp) cells (j0 = kp = 0 for a full search). Frontiers wider than
+/// a cap are thinned to a deterministic evenly-spaced subset that keeps
+/// both endpoints:
 ///
-/// Thread-safe: the buffers it reuses across calls are per thread.
+///   - r·k <= 25: the cap (64) never binds, and the result is the same
+///     minimum-energy tuple exhaustive enumeration (the testing oracle)
+///     finds, with the same tie-break (fewest cores used, then the
+///     lexicographically greater — slower — tuple); within the 1e-9
+///     energy tie window the two may pick different representatives of
+///     an equal-energy set. The differential oracle checks this.
+///   - up to 256 cells: the same 64 cap, which natural fronts rarely
+///     reach; no oracle checks minimality here.
+///   - past 256 cells (production scale): the main pass is a 6-wide
+///     beam, and the result is not the minimum. A 64-wide beam found a
+///     lower-energy plan on 59 of 857 feasible TableSpec::random_large
+///     tables, by up to 5.2 %. What holds: the feasibility answer is
+///     exact on homogeneous tables (the minimum-demand chain survives
+///     thinning, and the pilot's completed chains re-enter the final
+///     selection), and the differential oracle checks the result is
+///     never worse than a completed backtracking descent.
 ///
-/// Worst-case guardrails (adversarial tables only — neither binds at
-/// r·k <= 25, so the exhaustive-equality contract above is unconditional
-/// there): frontiers wider than an internal cap are thinned to a
-/// deterministic evenly-spaced subset that always keeps both endpoints.
-/// The feasibility answer stays exact on homogeneous tables (the
-/// minimum-demand chain survives thinning, and the pilot's completed
-/// chains re-enter the final selection), and the differential oracle
-/// checks the result is never worse than a completed backtracking
-/// descent.
+/// Deterministic everywhere. Thread-safe: the buffers it reuses across
+/// calls are per thread.
 SearchResult search_pruned(const CCTable& cc, std::size_t total_cores,
                            const energy::PowerModel* model = nullptr);
 
@@ -144,13 +160,16 @@ SearchResult search_pruned(const CCTable& cc, std::size_t total_cores,
 /// suffix of the lattice — classes [prefix.size(), k) at rungs >=
 /// prefix.back(), against the capacity left over after the prefix's
 /// demand. The winning suffix is spliced onto the prefix. The result is
-/// optimal (kPruned) or Algorithm 1's first success (kBacktracking)
-/// *conditioned on the prefix*; a full search may beat it by revising
-/// prefix rungs. An empty prefix is a full search. Under kPruned the work past the prefix audit
-/// scales with the searched region (classes [prefix.size(), k) at rungs
-/// >= prefix.back()), not with the whole table. Returns found=false when
-/// the prefix itself is invalid under `cc` (rung infeasible, nonmonotone,
-/// or over capacity) — callers fall back to a full search.
+/// search_pruned's answer over that region (kPruned: the minimum where
+/// the region has at most 256 cells, the beam's plan past that) or
+/// Algorithm 1's first success (kBacktracking), *conditioned on the
+/// prefix*; a full search may beat it by revising prefix rungs. An empty
+/// prefix is a full search. Under kPruned the work past the prefix
+/// audit scales with the searched region (classes [prefix.size(), k) at
+/// rungs >= prefix.back()), not with the whole table. Returns
+/// found=false when the prefix itself is invalid under `cc` (rung
+/// infeasible, nonmonotone, or over the total or a pool's capacity) —
+/// callers fall back to a full search.
 SearchResult search_suffix(const CCTable& cc, std::size_t total_cores,
                            SearchKind kind,
                            const std::vector<std::size_t>& prefix,
@@ -163,9 +182,10 @@ SearchResult search_ktuple(const CCTable& cc, std::size_t total_cores,
 
 /// In-place forms of search_ktuple and search_suffix: the result is
 /// written into `out`. kBacktracking descends in out.tuple's storage, so
-/// on homogeneous tables it allocates nothing once `out` has held a
-/// tuple of the table's width; kPruned assigns its result. The by-value forms wrap these.
-/// `prefix` must not be `out.tuple` itself.
+/// it allocates nothing once `out` has held a tuple of the table's width
+/// and this thread has searched a table with as many rows and pools;
+/// kPruned assigns its result. The by-value forms wrap these. `prefix`
+/// must not be `out.tuple` itself.
 void search_ktuple(const CCTable& cc, std::size_t total_cores,
                    SearchKind kind, const energy::PowerModel* model,
                    SearchResult& out);
@@ -173,7 +193,8 @@ void search_suffix(const CCTable& cc, std::size_t total_cores,
                    SearchKind kind, const std::vector<std::size_t>& prefix,
                    const energy::PowerModel* model, SearchResult& out);
 
-/// Validity check used by tests: nondecreasing + capacity.
+/// Validity check used by tests: nondecreasing, rung-feasible, within
+/// the total and every pool's capacity. Prices nothing.
 bool tuple_is_valid(const CCTable& cc, const std::vector<std::size_t>& tuple,
                     std::size_t total_cores);
 

@@ -38,6 +38,16 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// std::stable_sort's temporary buffer (MachineTopology's row sort) comes
+// from the nothrow form: route it through the same counter and malloc,
+// or a sanitizer build pairs its own allocation with this free.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (...) {
+    return nullptr;
+  }
+}
 // GCC 12 reports -Wmismatched-new-delete where these replacements call
 // std::free directly; with one out-of-line delete that the others
 // forward to, the binary builds clean.
@@ -47,6 +57,9 @@ __attribute__((noinline)) void operator delete(void* p) noexcept {
 void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 void operator delete[](void* p) noexcept { ::operator delete(p); }
 void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
   ::operator delete(p);
 }
 
@@ -194,6 +207,71 @@ TEST(BatchBoundaryAlloc, PlanAndActuateAreAllocFreeOnceShapesRepeat) {
     }
   }
   // Premise: every planning path ran inside the measured window.
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(ctrl.plans_reused() - reused0, 0u);
+  EXPECT_GT(ctrl.plans_incremental() - incremental0, 0u);
+  EXPECT_TRUE(ctrl.plan().planned);
+  EXPECT_TRUE(ctrl.last_actuation().ok());
+  EXPECT_FALSE(ctrl.degraded());
+}
+
+TEST(BatchBoundaryAlloc, TypedPlanningIsAllocFreeOnceShapesRepeat) {
+  // The same cycle on a big.LITTLE machine: the typed table's searches
+  // and carve count usage per core pool, in per-thread scratch.
+  auto topo = std::make_shared<const core::MachineTopology>(
+      core::MachineTopology::big_little());
+  sim::SimOptions opt;
+  opt.cores = topo->total_cores();
+  opt.topology = topo;
+  sim::Machine machine(opt);
+  sim::MachineDvfsBackend backend(machine);
+  core::ControllerOptions copts;
+  copts.adjuster.topology = topo;
+  core::EewaController ctrl(machine.ladder(), machine.cores(), copts);
+  const std::size_t ids[3] = {ctrl.class_id("heavy_boundary_class"),
+                              ctrl.class_id("medium_boundary_class"),
+                              ctrl.class_id("light")};
+  constexpr int kCycle[5] = {0, -1, -1, 2, -1};
+  constexpr double kMakespanS = 12e-3;
+  const auto run_batch = [&](int spiked) {
+    feed_batch(ctrl, ids, spiked);
+    ctrl.end_batch(kMakespanS);
+    ctrl.apply_supervised(backend);
+  };
+  run_batch(-1);
+  for (int warm = 0; warm < 2; ++warm) {
+    for (int spiked : kCycle) run_batch(spiked);
+  }
+
+  const std::size_t reused0 = ctrl.plans_reused();
+  const std::size_t incremental0 = ctrl.plans_incremental();
+  std::size_t batches = 0;
+  std::size_t full = 0;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (int spiked : kCycle) {
+      const std::size_t reused = ctrl.plans_reused();
+      const std::size_t incremental = ctrl.plans_incremental();
+      const std::uint64_t before = tl_heap_allocs;
+      run_batch(spiked);
+      EXPECT_EQ(tl_heap_allocs - before, 0u)
+          << "batch " << batches << " (spiked class " << spiked << ")";
+      if (ctrl.plans_reused() == reused &&
+          ctrl.plans_incremental() == incremental) {
+        ++full;
+      }
+      ++batches;
+    }
+  }
+  // Premise: every planning path ran inside the measured window, on a
+  // plan that runs classes on both clusters.
+  const dvfs::CGroupLayout& layout = ctrl.plan().layout;
+  bool big = false;
+  bool little = false;
+  for (const std::size_t id : ids) {
+    const std::size_t type = layout.group(layout.group_of_class(id)).core_type;
+    (type == 0 ? big : little) = true;
+  }
+  EXPECT_TRUE(big && little);
   EXPECT_GT(full, 0u);
   EXPECT_GT(ctrl.plans_reused() - reused0, 0u);
   EXPECT_GT(ctrl.plans_incremental() - incremental0, 0u);

@@ -200,6 +200,19 @@ TEST(FrequencyPlan, RejectsMismatchedInputs) {
                std::invalid_argument);
 }
 
+TEST(FrequencyPlan, RejectsLadderThatDoesNotMatchTheTable) {
+  // A homogeneous table's rows are the ladder's rungs: a ladder of
+  // another height names no slowest row of the table to park at.
+  const auto sr = search_backtracking(fig3(), 16);
+  ASSERT_TRUE(sr.found);
+  const dvfs::FrequencyLadder three({2.5, 1.8, 0.8});
+  const dvfs::FrequencyLadder five({2.5, 2.1, 1.8, 1.3, 0.8});
+  EXPECT_THROW(make_frequency_plan(fig3(), sr, 16, three, 4),
+               std::invalid_argument);
+  EXPECT_THROW(make_frequency_plan(fig3(), sr, 16, five, 4),
+               std::invalid_argument);
+}
+
 TEST(FrequencyPlan, RejectsClassIdOutsideRegistry) {
   const auto sr = search_backtracking(fig3(), 16);
   EXPECT_THROW(make_frequency_plan(fig3(), sr, 16, kLadder, 2),

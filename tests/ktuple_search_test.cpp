@@ -177,6 +177,15 @@ TEST(TupleIsValid, ChecksAllThreeConstraints) {
   EXPECT_FALSE(tuple_is_valid(cc, {1, 1, 2, 9}, 16));   // rung range
 }
 
+TEST(TupleIsValid, PricesNothingOnAnEmptyTable) {
+  // The validity check reads capacity only: it stands on the empty
+  // table an unplanned adjustment holds, where pricing the slowest row
+  // (r - 1) would throw.
+  const CCTable empty;
+  EXPECT_TRUE(tuple_is_valid(empty, {}, 4));
+  EXPECT_THROW(tuple_energy_estimate(empty, {}, 4), std::out_of_range);
+}
+
 TEST(SearchKtuple, DispatchesOnKind) {
   const auto cc = fig3();
   EXPECT_EQ(search_ktuple(cc, 16, SearchKind::kBacktracking).tuple,

@@ -1,6 +1,7 @@
 #include "core/adjuster.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace eewa::core {
@@ -11,6 +12,10 @@ Adjuster::Adjuster(dvfs::FrequencyLadder ladder, std::size_t total_cores,
       options_(options) {
   if (total_cores_ == 0) {
     throw std::invalid_argument("Adjuster: need at least one core");
+  }
+  // std::clamp passes a NaN through, and T·(1 - NaN) plans nothing sane.
+  if (!std::isfinite(options_.time_margin)) {
+    throw std::invalid_argument("Adjuster: time_margin must be finite");
   }
   if (options_.topology != nullptr &&
       options_.topology->total_cores() != total_cores_) {
@@ -32,7 +37,8 @@ void Adjuster::run(const std::vector<ClassProfile>& classes,
                    Adjustment& out) const {
   out.attempted = false;
   out.incremental = false;
-  if (classes.empty() || ideal_time_s <= 0.0) {
+  if (classes.empty() || !std::isfinite(ideal_time_s) ||
+      ideal_time_s <= 0.0) {
     // Nothing to plan from: no table, no search.
     out.cc = CCTable{};
     out.search = SearchResult{};

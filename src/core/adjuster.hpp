@@ -25,7 +25,8 @@ struct AdjusterOptions {
   const energy::PowerModel* model = nullptr;
   /// Plan against T·(1 - time_margin): slack for the inter-batch
   /// workload drift the paper acknowledges (§II-A). 0 = plan with no
-  /// safety margin, exactly the paper's formula.
+  /// safety margin, exactly the paper's formula. Clamped to [0, 0.9];
+  /// must be finite.
   double time_margin = 0.15;
   /// Plan memory-bound classes with the effective-slowdown CC model
   /// (paper §IV-D future work) instead of the CPU-bound formula; also
@@ -55,9 +56,9 @@ struct Adjustment {
 /// Stateless adjuster: pure function of the iteration profile.
 class Adjuster {
  public:
-  /// Throws std::invalid_argument for zero cores, a topology whose core
-  /// count differs from total_cores, or a model whose ladder size
-  /// differs from `ladder`'s.
+  /// Throws std::invalid_argument for zero cores, a non-finite
+  /// time_margin, a topology whose core count differs from total_cores,
+  /// or a model whose ladder size differs from `ladder`'s.
   Adjuster(dvfs::FrequencyLadder ladder, std::size_t total_cores,
            AdjusterOptions options = {});
 

@@ -26,8 +26,8 @@ void CCTable::check_profile(const std::vector<ClassProfile>& classes,
   if (classes.empty()) {
     throw std::invalid_argument("CCTable: no task classes");
   }
-  if (ideal_time_s <= 0.0) {
-    throw std::invalid_argument("CCTable: ideal time must be > 0");
+  if (!std::isfinite(ideal_time_s) || ideal_time_s <= 0.0) {
+    throw std::invalid_argument("CCTable: ideal time must be finite, > 0");
   }
   for (std::size_t i = 1; i < classes.size(); ++i) {
     if (classes[i].mean_workload > classes[i - 1].mean_workload) {

@@ -36,7 +36,7 @@ class CCTable {
 
   /// Build from per-class profiles (must already be sorted by descending
   /// mean workload — TaskClassRegistry::iteration_profile() returns this
-  /// order) and the ideal iteration time T (> 0).
+  /// order) and the ideal iteration time T (finite, > 0).
   ///
   /// With `memory_aware` set (the paper's §IV-D future-work extension),
   /// each class scales by its *effective* slowdown

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 
 #include "core/cc_table.hpp"
@@ -76,6 +77,12 @@ TEST(CCTable, ValidatesInputs) {
   EXPECT_THROW(CCTable::build({}, kLadder, 4.0), std::invalid_argument);
   EXPECT_THROW(CCTable::build(two_classes(), kLadder, 0.0),
                std::invalid_argument);
+  // A NaN passes `T <= 0`; a non-finite T is no ideal time either.
+  for (const double bad : {std::nan(""), -std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW(CCTable::build(two_classes(), kLadder, bad),
+                 std::invalid_argument)
+        << bad;
+  }
   EXPECT_THROW(CCTable::from_matrix({}), std::invalid_argument);
   EXPECT_THROW(CCTable::from_matrix({{1.0, 2.0}, {3.0}}),
                std::invalid_argument);

@@ -4,6 +4,8 @@
 // overhead accounting, and the §IV-D memory-bound fallback.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/adjuster.hpp"
 #include "core/classifier.hpp"
 #include "core/eewa_controller.hpp"
@@ -39,6 +41,15 @@ TEST(Adjuster, EmptyProfileFallsBackToUniform) {
 
 TEST(Adjuster, RejectsZeroCores) {
   EXPECT_THROW(Adjuster(kLadder, 0), std::invalid_argument);
+}
+
+TEST(Adjuster, RejectsNonFiniteTimeMargin) {
+  // std::clamp would pass a NaN margin through to T·(1 - margin).
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    AdjusterOptions opt;
+    opt.time_margin = bad;
+    EXPECT_THROW(Adjuster(kLadder, 16, opt), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Adjuster, ExhaustiveOptionUsesModel) {

@@ -22,8 +22,6 @@
 // An unknown flag, a missing, non-numeric or non-finite value, or a
 // zero --tables / --reps exits 2.
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -37,6 +35,7 @@
 #include "obs/json_lite.hpp"
 #include "sim/simulate.hpp"
 #include "testing/exhaustive_search.hpp"
+#include "util/cli_flags.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table_printer.hpp"
@@ -382,41 +381,11 @@ int scale_sweep(const ScaleConfig& cfg) {
   return 0;
 }
 
-[[noreturn]] void bad_value(const char* flag, const char* text,
-                            const char* want) {
-  std::fprintf(stderr, "bench_ablation_search: %s expects %s, got '%s'\n",
-               flag, want, text);
-  std::exit(2);
-}
-
-/// A finite, non-negative decimal; anything else exits 2.
-double parse_real(const char* flag, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
-      v < 0.0) {
-    bad_value(flag, text, "a finite non-negative number");
-  }
-  return v;
-}
-
-/// A positive integer in base 10; anything else exits 2.
-std::size_t parse_positive(const char* flag, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE ||
-      !std::isdigit(static_cast<unsigned char>(text[0])) || v == 0) {
-    bad_value(flag, text, "a positive integer");
-  }
-  return static_cast<std::size_t>(v);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   ScaleConfig cfg;
+  const util::FlagParser flags("bench_ablation_search");
   const auto next = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "bench_ablation_search: missing value for %s\n",
@@ -430,11 +399,11 @@ int main(int argc, char** argv) {
     if (arg == "--scale-only") {
       cfg.scale_only = true;
     } else if (arg == "--budget-us") {
-      cfg.budget_us = parse_real(arg.c_str(), next(i));
+      cfg.budget_us = flags.real(arg.c_str(), next(i));
     } else if (arg == "--tables") {
-      cfg.tables = parse_positive(arg.c_str(), next(i));
+      cfg.tables = flags.positive(arg.c_str(), next(i));
     } else if (arg == "--reps") {
-      cfg.reps = parse_positive(arg.c_str(), next(i));
+      cfg.reps = flags.positive(arg.c_str(), next(i));
     } else if (arg == "--out") {
       cfg.out = next(i);
     } else {

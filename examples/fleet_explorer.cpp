@@ -12,54 +12,16 @@
 //
 //   fleet_explorer --machines 64 --duration 3.5 --load 0.5  # ~11M tasks
 //   fleet_explorer --threads 8 ...   # same bytes, less wall time
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 
 #include "sim/fleet.hpp"
 #include "trace/arrivals.hpp"
+#include "util/cli_flags.hpp"
 
 using namespace eewa;
-
-namespace {
-
-[[noreturn]] void bad_value(const char* flag, const char* text,
-                            const char* want) {
-  std::fprintf(stderr, "fleet_explorer: %s expects %s, got '%s'\n", flag,
-               want, text);
-  std::exit(2);
-}
-
-/// A finite, non-negative decimal; anything else exits 2.
-double parse_real(const char* flag, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
-      v < 0.0) {
-    bad_value(flag, text, "a finite non-negative number");
-  }
-  return v;
-}
-
-/// A non-negative integer in base 10; anything else exits 2.
-std::size_t parse_count(const char* flag, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE ||
-      !std::isdigit(static_cast<unsigned char>(text[0]))) {
-    bad_value(flag, text, "a non-negative integer");
-  }
-  return static_cast<std::size_t>(v);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   sim::FleetOptions opts;
@@ -70,6 +32,7 @@ int main(int argc, char** argv) {
   double mean_work_s = 100e-6;
   std::uint64_t seed = 1;
   bool quiet = false;
+  const util::FlagParser flags("fleet_explorer");
 
   auto next = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -102,31 +65,31 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (arg == "--machines") {
-      opts.machines = parse_count(arg.c_str(), next(i));
+      opts.machines = flags.count(arg.c_str(), next(i));
     } else if (arg == "--cores") {
-      opts.machine.cores = parse_count(arg.c_str(), next(i));
+      opts.machine.cores = flags.count(arg.c_str(), next(i));
     } else if (arg == "--duration") {
-      duration_s = parse_real(arg.c_str(), next(i));
+      duration_s = flags.real(arg.c_str(), next(i));
     } else if (arg == "--load") {
-      load = parse_real(arg.c_str(), next(i));
+      load = flags.real(arg.c_str(), next(i));
     } else if (arg == "--epoch") {
-      opts.epoch_s = parse_real(arg.c_str(), next(i));
+      opts.epoch_s = flags.real(arg.c_str(), next(i));
     } else if (arg == "--mean-work") {
-      mean_work_s = parse_real(arg.c_str(), next(i));
+      mean_work_s = flags.real(arg.c_str(), next(i));
     } else if (arg == "--policy") {
       opts.policy = next(i);
     } else if (arg == "--placement") {
       opts.placement = next(i);
     } else if (arg == "--seed") {
-      seed = parse_count(arg.c_str(), next(i));
+      seed = flags.count(arg.c_str(), next(i));
     } else if (arg == "--initial-state") {
-      opts.initial_state = parse_count(arg.c_str(), next(i));
+      opts.initial_state = flags.count(arg.c_str(), next(i));
     } else if (arg == "--park-after") {
-      opts.park_after_epochs = parse_count(arg.c_str(), next(i));
+      opts.park_after_epochs = flags.count(arg.c_str(), next(i));
     } else if (arg == "--max-backlog") {
-      opts.max_backlog_s = parse_real(arg.c_str(), next(i));
+      opts.max_backlog_s = flags.real(arg.c_str(), next(i));
     } else if (arg == "--threads") {
-      opts.threads = parse_count(arg.c_str(), next(i));
+      opts.threads = flags.count(arg.c_str(), next(i));
     } else if (arg == "--quiet") {
       quiet = true;
     } else {

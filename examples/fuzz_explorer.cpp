@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "testing/fuzz.hpp"
+#include "util/cli_flags.hpp"
 
 using namespace eewa;
 
@@ -55,6 +56,7 @@ int main(int argc, char** argv) {
   bool do_shrink = false;
   bool verbose = false;
   std::string out_file;
+  const util::FlagParser flags("fuzz_explorer");
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -64,11 +66,11 @@ int main(int argc, char** argv) {
     if (arg == "--mode") {
       mode_arg = next();
     } else if (arg == "--seed") {
-      seed = std::stoull(next());
+      seed = flags.count(arg.c_str(), next().c_str());
     } else if (arg == "--count") {
-      count = std::stoul(next());
+      count = flags.count(arg.c_str(), next().c_str());
     } else if (arg == "--replay") {
-      seed = std::stoull(next());
+      seed = flags.count(arg.c_str(), next().c_str());
       count = 1;
       verbose = true;
     } else if (arg == "--shrink") {

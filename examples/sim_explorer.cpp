@@ -18,6 +18,7 @@
 
 #include "obs/tracer.hpp"
 #include "sim/simulate.hpp"
+#include "util/cli_flags.hpp"
 #include "workloads/suite.hpp"
 
 using namespace eewa;
@@ -32,29 +33,34 @@ int main(int argc, char** argv) {
   bool metrics = false;
   std::string trace_out;
   dvfs::FaultSpec faults;
+  const util::FlagParser flags("sim_explorer");
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const char* const a = argv[i];
     auto next = [&]() -> std::string {
       return i + 1 < argc ? argv[++i] : "";
     };
     if (arg == "--benchmark") bench_name = next();
     else if (arg == "--policy") policy_name = next();
-    else if (arg == "--cores") cores = std::stoul(next());
-    else if (arg == "--batches") batches = std::stoul(next());
-    else if (arg == "--seed") seed = std::stoull(next());
-    else if (arg == "--margin") margin = std::stod(next());
+    else if (arg == "--cores") cores = flags.positive(a, next().c_str());
+    else if (arg == "--batches") batches = flags.count(a, next().c_str());
+    else if (arg == "--seed") seed = flags.count(a, next().c_str());
+    else if (arg == "--margin") margin = flags.real(a, next().c_str());
     else if (arg == "--metrics") metrics = true;
     else if (arg == "--trace-out") trace_out = next();
-    else if (arg == "--fail-p") faults.transient_failure_p = std::stod(next());
-    else if (arg == "--drift-p") faults.drift_p = std::stod(next());
-    else if (arg == "--stuck") {
+    else if (arg == "--fail-p") {
+      faults.transient_failure_p = flags.real(a, next().c_str());
+    } else if (arg == "--drift-p") {
+      faults.drift_p = flags.real(a, next().c_str());
+    } else if (arg == "--stuck") {
       // Comma-separated core list, e.g. --stuck 0,3,7.
       std::string list = next();
       std::size_t pos = 0;
       while (pos < list.size()) {
         std::size_t end = list.find(',', pos);
         if (end == std::string::npos) end = list.size();
-        faults.stuck_cores.push_back(std::stoul(list.substr(pos, end - pos)));
+        faults.stuck_cores.push_back(
+            flags.count(a, list.substr(pos, end - pos).c_str()));
         pos = end + 1;
       }
     } else {

@@ -17,20 +17,20 @@
 // Usage: bench_ablation_hetero [--scale-only] [--out FILE]
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "core/cc_table.hpp"
 #include "core/core_type.hpp"
 #include "core/frequency_plan.hpp"
 #include "core/ktuple_search.hpp"
-#include "obs/json_lite.hpp"
 #include "sim/policies.hpp"
 #include "sim/simulate.hpp"
 #include "trace/synthetic.hpp"
+#include "util/cli_flags.hpp"
 #include "util/table_printer.hpp"
 
 namespace {
@@ -258,24 +258,7 @@ int showdown(const std::string& out_file) {
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
-  const std::string json = os.str();
-  try {
-    const auto doc = obs::parse_json(json);
-    if (doc.at("results").array.size() != rows.size()) {
-      throw std::runtime_error("result rows went missing");
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s failed validation: %s\n", out_file.c_str(),
-                 e.what());
-    return 1;
-  }
-  std::ofstream out(out_file);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_file.c_str());
-    return 1;
-  }
-  out << json;
-  std::printf("report: %s (validated with json_lite)\n", out_file.c_str());
+  bench::write_report(out_file, os.str(), "results", rows.size());
 
   if (!all_reproducible) {
     std::fprintf(stderr, "simulations were not bitwise reproducible\n");
@@ -297,10 +280,11 @@ int showdown(const std::string& out_file) {
 int main(int argc, char** argv) {
   bool scale_only = false;
   std::string out_file = "BENCH_hetero.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--scale-only") scale_only = true;
-    if (arg == "--out" && i + 1 < argc) out_file = argv[++i];
+  util::FlagParser flags("bench_ablation_hetero", argc, argv);
+  while (flags.next()) {
+    if (flags.is("--scale-only")) scale_only = true;
+    else if (flags.is("--out")) out_file = flags.text();
+    else flags.reject();
   }
   if (!scale_only) worked_example();
   return showdown(out_file);

@@ -25,14 +25,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "core/adjuster.hpp"
-#include "obs/json_lite.hpp"
 #include "sim/simulate.hpp"
 #include "testing/exhaustive_search.hpp"
 #include "util/cli_flags.hpp"
@@ -343,27 +341,12 @@ int scale_sweep(const ScaleConfig& cfg) {
        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
-  const std::string json = os.str();
-  try {
-    // Round-trip through the repo's own parser: an artifact CI cannot
-    // parse is a bench bug, not a consumer problem.
-    const auto doc = obs::parse_json(json);
-    if (doc.at("results").array.size() != rows.size()) {
-      throw std::runtime_error("result rows went missing");
-    }
-    (void)doc.at("cc_build").at("median_us");
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s failed validation: %s\n", cfg.out.c_str(),
-                 e.what());
-    return 1;
-  }
-  std::ofstream out(cfg.out);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", cfg.out.c_str());
-    return 1;
-  }
-  out << json;
-  std::printf("report: %s (validated with json_lite)\n", cfg.out.c_str());
+  // The cc_build probe: an artifact without the build/search split is a
+  // bench bug, not a consumer problem.
+  bench::write_report(cfg.out, os.str(), "results", rows.size(),
+                      [](const obs::JsonValue& doc) {
+                        (void)doc.at("cc_build").at("median_us");
+                      });
 
   if (cfg.budget_us > 0.0) {
     for (const auto& row : rows) {
@@ -385,32 +368,14 @@ int scale_sweep(const ScaleConfig& cfg) {
 
 int main(int argc, char** argv) {
   ScaleConfig cfg;
-  const util::FlagParser flags("bench_ablation_search");
-  const auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "bench_ablation_search: missing value for %s\n",
-                   argv[i]);
-      std::exit(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--scale-only") {
-      cfg.scale_only = true;
-    } else if (arg == "--budget-us") {
-      cfg.budget_us = flags.real(arg.c_str(), next(i));
-    } else if (arg == "--tables") {
-      cfg.tables = flags.positive(arg.c_str(), next(i));
-    } else if (arg == "--reps") {
-      cfg.reps = flags.positive(arg.c_str(), next(i));
-    } else if (arg == "--out") {
-      cfg.out = next(i);
-    } else {
-      std::fprintf(stderr, "bench_ablation_search: unknown argument: %s\n",
-                   arg.c_str());
-      return 2;
-    }
+  util::FlagParser flags("bench_ablation_search", argc, argv);
+  while (flags.next()) {
+    if (flags.is("--scale-only")) cfg.scale_only = true;
+    else if (flags.is("--budget-us")) cfg.budget_us = flags.real();
+    else if (flags.is("--tables")) cfg.tables = flags.positive();
+    else if (flags.is("--reps")) cfg.reps = flags.positive();
+    else if (flags.is("--out")) cfg.out = flags.text();
+    else flags.reject();
   }
   if (!cfg.scale_only) {
     search_quality();

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "sim/simulate.hpp"
+#include "util/cli_flags.hpp"
 #include "util/csv.hpp"
 #include "util/table_printer.hpp"
 #include "workloads/suite.hpp"
@@ -21,11 +22,12 @@ int run(int argc, char** argv) {
   std::size_t batches = 40;
   std::uint64_t seed = 2024;
   bool live_calibration = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--batches" && i + 1 < argc) batches = std::stoul(argv[++i]);
-    if (arg == "--seed" && i + 1 < argc) seed = std::stoull(argv[++i]);
-    if (arg == "--calibrate") live_calibration = true;
+  util::FlagParser flags("bench_fig6_energy", argc, argv);
+  while (flags.next()) {
+    if (flags.is("--batches")) batches = flags.positive();
+    else if (flags.is("--seed")) seed = flags.count();
+    else if (flags.is("--calibrate")) live_calibration = true;
+    else flags.reject();
   }
 
   sim::SimOptions opt;

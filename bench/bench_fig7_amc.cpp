@@ -11,6 +11,7 @@
 #include <string>
 
 #include "sim/simulate.hpp"
+#include "util/cli_flags.hpp"
 #include "util/table_printer.hpp"
 #include "workloads/suite.hpp"
 
@@ -20,10 +21,10 @@ using namespace eewa;
 
 int run(int argc, char** argv) {
   std::size_t batches = 40;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--batches" && i + 1 < argc) {
-      batches = std::stoul(argv[++i]);
-    }
+  util::FlagParser flags("bench_fig7_amc", argc, argv);
+  while (flags.next()) {
+    if (flags.is("--batches")) batches = flags.positive();
+    else flags.reject();
   }
   sim::SimOptions opt;
   opt.cores = 16;

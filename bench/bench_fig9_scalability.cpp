@@ -8,6 +8,7 @@
 #include <string>
 
 #include "sim/simulate.hpp"
+#include "util/cli_flags.hpp"
 #include "util/csv.hpp"
 #include "util/table_printer.hpp"
 #include "workloads/suite.hpp"
@@ -19,10 +20,11 @@ using namespace eewa;
 int run(int argc, char** argv) {
   std::string bench_name = "DMC";
   std::size_t batches = 40;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--benchmark" && i + 1 < argc) bench_name = argv[++i];
-    if (arg == "--batches" && i + 1 < argc) batches = std::stoul(argv[++i]);
+  util::FlagParser flags("bench_fig9_scalability", argc, argv);
+  while (flags.next()) {
+    if (flags.is("--benchmark")) bench_name = flags.text();
+    else if (flags.is("--batches")) batches = flags.positive();
+    else flags.reject();
   }
   const auto cal = wl::reference_calibration();
   const auto trace =

@@ -35,14 +35,14 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/json_lite.hpp"
+#include "bench_report.hpp"
 #include "sim/fleet.hpp"
 #include "trace/arrivals.hpp"
+#include "util/cli_flags.hpp"
 #include "util/table_printer.hpp"
 
 namespace {
@@ -131,38 +131,22 @@ std::string to_json(const Config& cfg, const std::vector<Row>& rows) {
 
 int run(int argc, char** argv) {
   Config cfg;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (arg == "--machines") {
-      cfg.machines = std::stoul(next());
-    } else if (arg == "--cores") {
-      cfg.cores = std::stoul(next());
-    } else if (arg == "--duration") {
-      cfg.duration_s = std::stod(next());
-    } else if (arg == "--load") {
-      cfg.load = std::stod(next());
-    } else if (arg == "--epoch") {
-      cfg.epoch_s = std::stod(next());
-    } else if (arg == "--seed") {
-      cfg.seed = std::stoull(next());
-    } else if (arg == "--budget-s") {
-      cfg.budget_s = std::stod(next());
-    } else if (arg == "--min-offered") {
-      cfg.min_offered = std::stoul(next());
-    } else if (arg == "--min-machines") {
-      cfg.min_machines = std::stoul(next());
-    } else if (arg == "--threads") {
-      cfg.threads = std::stoul(next());
-    } else if (arg == "--min-speedup") {
-      cfg.min_speedup = std::stod(next());
-    } else if (arg == "--scale-only") {
-      cfg.scale_only = true;
-    } else if (arg == "--out") {
-      cfg.out = next();
-    } else if (arg == "--help" || arg == "-h") {
+  util::FlagParser flags("bench_fleet", argc, argv);
+  while (flags.next()) {
+    if (flags.is("--machines")) cfg.machines = flags.positive();
+    else if (flags.is("--cores")) cfg.cores = flags.positive();
+    else if (flags.is("--duration")) cfg.duration_s = flags.real();
+    else if (flags.is("--load")) cfg.load = flags.real();
+    else if (flags.is("--epoch")) cfg.epoch_s = flags.real();
+    else if (flags.is("--seed")) cfg.seed = flags.count();
+    else if (flags.is("--budget-s")) cfg.budget_s = flags.real();
+    else if (flags.is("--min-offered")) cfg.min_offered = flags.count();
+    else if (flags.is("--min-machines")) cfg.min_machines = flags.count();
+    else if (flags.is("--threads")) cfg.threads = flags.count();
+    else if (flags.is("--min-speedup")) cfg.min_speedup = flags.real();
+    else if (flags.is("--scale-only")) cfg.scale_only = true;
+    else if (flags.is("--out")) cfg.out = flags.text();
+    else if (flags.is("--help") || flags.is("-h")) {
       std::puts(
           "bench_fleet: fleet placement bench (see the header comment)\n"
           "  --machines N     fleet size (default 64)\n"
@@ -183,8 +167,7 @@ int run(int argc, char** argv) {
           "  --out FILE       JSON artifact (default BENCH_fleet.json)");
       return 0;
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return 2;
+      flags.reject();
     }
   }
 
@@ -317,24 +300,7 @@ int run(int argc, char** argv) {
     }
   }
 
-  const std::string json = to_json(cfg, rows);
-  try {
-    const auto doc = obs::parse_json(json);
-    if (doc.at("placements").array.size() != rows.size()) {
-      throw std::runtime_error("placement rows went missing");
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s failed validation: %s\n", cfg.out.c_str(),
-                 e.what());
-    return 1;
-  }
-  std::ofstream out(cfg.out);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", cfg.out.c_str());
-    return 1;
-  }
-  out << json;
-  std::printf("report: %s (validated with json_lite)\n", cfg.out.c_str());
+  bench::write_report(cfg.out, to_json(cfg, rows), "placements", rows.size());
 
   if (!failures.empty()) {
     for (const auto& f : failures) {

@@ -35,7 +35,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -43,11 +42,12 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json_lite.hpp"
+#include "bench_report.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/policies.hpp"
 #include "sim/simulate.hpp"
 #include "trace/arrivals.hpp"
+#include "util/cli_flags.hpp"
 #include "util/table_printer.hpp"
 
 namespace {
@@ -444,23 +444,22 @@ std::string to_json(const Config& cfg,
 
 int run(int argc, char** argv) {
   Config cfg;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (arg == "--workers") {
-      cfg.workers = std::stoul(next());
-    } else if (arg == "--phase-s") {
-      cfg.phase_s = std::stod(next());
-    } else if (arg == "--loads") {
+  util::FlagParser flags("bench_service_traffic", argc, argv);
+  while (flags.next()) {
+    if (flags.is("--workers")) cfg.workers = flags.positive();
+    else if (flags.is("--phase-s")) cfg.phase_s = flags.real();
+    else if (flags.is("--sim-cores")) cfg.sim_cores = flags.positive();
+    else if (flags.is("--sim-duration")) cfg.sim_duration_s = flags.real();
+    else if (flags.is("--seed")) cfg.seed = flags.count();
+    else if (flags.is("--out")) cfg.out = flags.text();
+    else if (flags.is("--loads")) {
       cfg.loads.clear();
-      std::istringstream ls(next());
+      std::istringstream ls(flags.text());
       for (std::string tok; std::getline(ls, tok, ',');) {
-        cfg.loads.push_back(std::stod(tok));
+        cfg.loads.push_back(flags.real("--loads", tok.c_str()));
       }
-    } else if (arg == "--policy") {
-      const std::string p = next();
+    } else if (flags.is("--policy")) {
+      const std::string p = flags.text();
       if (p == "block") {
         cfg.policy = rt::AdmissionPolicy::kBlock;
       } else if (p == "shed-sla") {
@@ -468,20 +467,11 @@ int run(int argc, char** argv) {
       } else if (p == "shed-oldest") {
         cfg.policy = rt::AdmissionPolicy::kShedOldest;
       } else {
-        std::fprintf(stderr, "unknown policy: %s\n", p.c_str());
-        return 2;
+        flags.bad_value("--policy", p.c_str(),
+                        "block, shed-sla or shed-oldest");
       }
-    } else if (arg == "--sim-cores") {
-      cfg.sim_cores = std::stoul(next());
-    } else if (arg == "--sim-duration") {
-      cfg.sim_duration_s = std::stod(next());
-    } else if (arg == "--seed") {
-      cfg.seed = std::stoull(next());
-    } else if (arg == "--out") {
-      cfg.out = next();
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return 2;
+      flags.reject();
     }
   }
 
@@ -527,25 +517,10 @@ int run(int argc, char** argv) {
   }
   std::printf("%s\n", sim_table.str().c_str());
 
-  const std::string json =
-      to_json(cfg, phases, capacity_eewa, capacity_steal, offered_tps, sim);
-  try {
-    const auto doc = obs::parse_json(json);
-    if (doc.at("runtime_phases").array.size() != phases.size()) {
-      throw std::runtime_error("phase rows went missing");
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s failed validation: %s\n", cfg.out.c_str(),
-                 e.what());
-    return 1;
-  }
-  std::ofstream out(cfg.out);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", cfg.out.c_str());
-    return 1;
-  }
-  out << json;
-  std::printf("report: %s (validated with json_lite)\n", cfg.out.c_str());
+  bench::write_report(cfg.out,
+                      to_json(cfg, phases, capacity_eewa, capacity_steal,
+                              offered_tps, sim),
+                      "runtime_phases", phases.size());
 
   if (!failures.empty()) {
     for (const auto& f : failures) {

@@ -18,13 +18,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/json_lite.hpp"
+#include "bench_report.hpp"
 #include "runtime/runtime.hpp"
+#include "util/cli_flags.hpp"
 #include "util/table_printer.hpp"
 
 namespace {
@@ -173,15 +173,14 @@ std::string to_json(const StormConfig& cfg,
 
 int run(int argc, char** argv) {
   StormConfig cfg;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--iters" && i + 1 < argc) cfg.iters = std::stoul(argv[++i]);
-    if (arg == "--workers" && i + 1 < argc) {
-      cfg.workers = std::stoul(argv[++i]);
-    }
-    if (arg == "--depth" && i + 1 < argc) cfg.depth = std::stoul(argv[++i]);
-    if (arg == "--roots" && i + 1 < argc) cfg.roots = std::stoul(argv[++i]);
-    if (arg == "--out" && i + 1 < argc) cfg.out = argv[++i];
+  util::FlagParser flags("bench_spawn_throughput", argc, argv);
+  while (flags.next()) {
+    if (flags.is("--iters")) cfg.iters = flags.positive();
+    else if (flags.is("--workers")) cfg.workers = flags.count();
+    else if (flags.is("--depth")) cfg.depth = flags.count();
+    else if (flags.is("--roots")) cfg.roots = flags.positive();
+    else if (flags.is("--out")) cfg.out = flags.text();
+    else flags.reject();
   }
 
   const std::uint64_t per_batch =
@@ -210,26 +209,8 @@ int run(int argc, char** argv) {
   }
   std::printf("%s\n", table.str().c_str());
 
-  const std::string json = to_json(cfg, results);
-  try {
-    // The report must round-trip through the repo's own parser: an
-    // artifact CI cannot parse is a bench bug, not a consumer problem.
-    const auto doc = obs::parse_json(json);
-    if (doc.at("results").array.size() != results.size()) {
-      throw std::runtime_error("result rows went missing");
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "BENCH_spawn.json failed validation: %s\n",
-                 e.what());
-    return 1;
-  }
-  std::ofstream out(cfg.out);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", cfg.out.c_str());
-    return 1;
-  }
-  out << json;
-  std::printf("report: %s (validated with json_lite)\n", cfg.out.c_str());
+  bench::write_report(cfg.out, to_json(cfg, results), "results",
+                      results.size());
   return 0;
 }
 

@@ -21,6 +21,7 @@
 #include "energy/power_model.hpp"
 #include "obs/tracer.hpp"
 #include "runtime/runtime.hpp"
+#include "util/cli_flags.hpp"
 #include "util/table_printer.hpp"
 #include "workloads/suite.hpp"
 
@@ -93,13 +94,14 @@ int run(int argc, char** argv) {
   double scale = 0.1;
   bool metrics = false;
   std::string trace_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--batches" && i + 1 < argc) batches = std::stoul(argv[++i]);
-    if (arg == "--workers" && i + 1 < argc) workers = std::stoul(argv[++i]);
-    if (arg == "--scale" && i + 1 < argc) scale = std::stod(argv[++i]);
-    if (arg == "--metrics") metrics = true;
-    if (arg == "--trace-out" && i + 1 < argc) trace_out = argv[++i];
+  util::FlagParser flags("bench_suite_runtime", argc, argv);
+  while (flags.next()) {
+    if (flags.is("--batches")) batches = flags.positive();
+    else if (flags.is("--workers")) workers = flags.count();
+    else if (flags.is("--scale")) scale = flags.real();
+    else if (flags.is("--metrics")) metrics = true;
+    else if (flags.is("--trace-out")) trace_out = flags.text();
+    else flags.reject();
   }
 
   std::unique_ptr<obs::EventTracer> tracer;

@@ -20,6 +20,7 @@
 #include "obs/tracer.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/simulate.hpp"
+#include "util/cli_flags.hpp"
 #include "util/table_printer.hpp"
 #include "workloads/suite.hpp"
 
@@ -43,10 +44,10 @@ void fig3_example() {
 
 int run(int argc, char** argv) {
   std::size_t batches = 40;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--batches" && i + 1 < argc) {
-      batches = std::stoul(argv[++i]);
-    }
+  util::FlagParser flags("bench_table3_overhead", argc, argv);
+  while (flags.next()) {
+    if (flags.is("--batches")) batches = flags.positive();
+    else flags.reject();
   }
   fig3_example();
 

@@ -6,12 +6,12 @@
 //
 // Usage: ./examples/compress_service [waves] [workers]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "energy/model_meter.hpp"
 #include "energy/power_model.hpp"
 #include "runtime/runtime.hpp"
+#include "util/cli_flags.hpp"
 #include "workloads/bzip2ish.hpp"
 #include "workloads/data_gen.hpp"
 
@@ -19,7 +19,7 @@ using namespace eewa;
 
 namespace {
 
-std::vector<rt::TaskDesc> make_wave(int wave) {
+std::vector<rt::TaskDesc> make_wave(std::size_t wave) {
   std::vector<rt::TaskDesc> tasks;
   const auto seed_base = static_cast<std::uint64_t>(wave) * 1000;
   for (int i = 0; i < 2; ++i) {
@@ -45,7 +45,7 @@ struct RunStats {
   std::size_t steals = 0;
 };
 
-RunStats run_service(rt::SchedulerKind kind, int waves,
+RunStats run_service(rt::SchedulerKind kind, std::size_t waves,
                      std::size_t workers) {
   rt::RuntimeOptions options;
   options.workers = workers;
@@ -56,7 +56,7 @@ RunStats run_service(rt::SchedulerKind kind, int waves,
 
   RunStats stats;
   meter.start();
-  for (int wave = 0; wave < waves; ++wave) {
+  for (std::size_t wave = 0; wave < waves; ++wave) {
     stats.seconds += runtime.run_batch(make_wave(wave));
   }
   stats.joules = meter.stop_joules();
@@ -67,11 +67,14 @@ RunStats run_service(rt::SchedulerKind kind, int waves,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int waves = argc > 1 ? std::atoi(argv[1]) : 5;
-  const std::size_t workers =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 4;
+  std::size_t waves = 5;
+  std::size_t workers = 4;  // 0 = one per hardware CPU
+  util::FlagParser args("compress_service", argc, argv);
+  if (args.next()) waves = args.count("waves", args.arg());
+  if (args.next()) workers = args.count("workers", args.arg());
+  if (args.next()) args.reject();
 
-  std::printf("compress service: %d waves x 14 requests, %zu workers\n\n",
+  std::printf("compress service: %zu waves x 14 requests, %zu workers\n\n",
               waves, workers);
   const RunStats cilk = run_service(rt::SchedulerKind::kCilk, waves, workers);
   const RunStats eewa = run_service(rt::SchedulerKind::kEewa, waves, workers);

@@ -13,7 +13,6 @@
 //   fleet_explorer --machines 64 --duration 3.5 --load 0.5  # ~11M tasks
 //   fleet_explorer --threads 8 ...   # same bytes, less wall time
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 
@@ -32,18 +31,9 @@ int main(int argc, char** argv) {
   double mean_work_s = 100e-6;
   std::uint64_t seed = 1;
   bool quiet = false;
-  const util::FlagParser flags("fleet_explorer");
-
-  auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      std::exit(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
+  util::FlagParser flags("fleet_explorer", argc, argv);
+  while (flags.next()) {
+    if (flags.is("--help") || flags.is("-h")) {
       std::puts(
           "fleet_explorer: one deterministic fleet run\n"
           "  --machines N      fleet size (default 8)\n"
@@ -64,38 +54,21 @@ int main(int argc, char** argv) {
           "  --quiet           one diffable summary line");
       return 0;
     }
-    if (arg == "--machines") {
-      opts.machines = flags.count(arg.c_str(), next(i));
-    } else if (arg == "--cores") {
-      opts.machine.cores = flags.count(arg.c_str(), next(i));
-    } else if (arg == "--duration") {
-      duration_s = flags.real(arg.c_str(), next(i));
-    } else if (arg == "--load") {
-      load = flags.real(arg.c_str(), next(i));
-    } else if (arg == "--epoch") {
-      opts.epoch_s = flags.real(arg.c_str(), next(i));
-    } else if (arg == "--mean-work") {
-      mean_work_s = flags.real(arg.c_str(), next(i));
-    } else if (arg == "--policy") {
-      opts.policy = next(i);
-    } else if (arg == "--placement") {
-      opts.placement = next(i);
-    } else if (arg == "--seed") {
-      seed = flags.count(arg.c_str(), next(i));
-    } else if (arg == "--initial-state") {
-      opts.initial_state = flags.count(arg.c_str(), next(i));
-    } else if (arg == "--park-after") {
-      opts.park_after_epochs = flags.count(arg.c_str(), next(i));
-    } else if (arg == "--max-backlog") {
-      opts.max_backlog_s = flags.real(arg.c_str(), next(i));
-    } else if (arg == "--threads") {
-      opts.threads = flags.count(arg.c_str(), next(i));
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return 2;
-    }
+    if (flags.is("--machines")) opts.machines = flags.count();
+    else if (flags.is("--cores")) opts.machine.cores = flags.count();
+    else if (flags.is("--duration")) duration_s = flags.real();
+    else if (flags.is("--load")) load = flags.real();
+    else if (flags.is("--epoch")) opts.epoch_s = flags.real();
+    else if (flags.is("--mean-work")) mean_work_s = flags.real();
+    else if (flags.is("--policy")) opts.policy = flags.text();
+    else if (flags.is("--placement")) opts.placement = flags.text();
+    else if (flags.is("--seed")) seed = flags.count();
+    else if (flags.is("--initial-state")) opts.initial_state = flags.count();
+    else if (flags.is("--park-after")) opts.park_after_epochs = flags.count();
+    else if (flags.is("--max-backlog")) opts.max_backlog_s = flags.real();
+    else if (flags.is("--threads")) opts.threads = flags.count();
+    else if (flags.is("--quiet")) quiet = true;
+    else flags.reject();
   }
 
   trace::ArrivalSpec arr;

@@ -56,32 +56,23 @@ int main(int argc, char** argv) {
   bool do_shrink = false;
   bool verbose = false;
   std::string out_file;
-  const util::FlagParser flags("fuzz_explorer");
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (arg == "--mode") {
-      mode_arg = next();
-    } else if (arg == "--seed") {
-      seed = flags.count(arg.c_str(), next().c_str());
-    } else if (arg == "--count") {
-      count = flags.count(arg.c_str(), next().c_str());
-    } else if (arg == "--replay") {
-      seed = flags.count(arg.c_str(), next().c_str());
+  util::FlagParser flags("fuzz_explorer", argc, argv);
+  while (flags.next()) {
+    if (flags.is("--mode")) mode_arg = flags.text();
+    else if (flags.is("--seed")) seed = flags.count();
+    else if (flags.is("--count")) count = flags.count();
+    else if (flags.is("--replay")) {
+      seed = flags.count();
       count = 1;
       verbose = true;
-    } else if (arg == "--shrink") {
+    } else if (flags.is("--shrink")) {
       do_shrink = true;
-    } else if (arg == "--verbose") {
+    } else if (flags.is("--verbose")) {
       verbose = true;
-    } else if (arg == "--out") {
-      out_file = next();
+    } else if (flags.is("--out")) {
+      out_file = flags.text();
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return 2;
+      flags.reject();
     }
   }
 
@@ -106,8 +97,9 @@ int main(int argc, char** argv) {
   } else if (mode_arg == "hetero") {
     modes = {testing::FuzzMode::kHetero};
   } else {
-    std::fprintf(stderr, "unknown mode: %s\n", mode_arg.c_str());
-    return 2;
+    flags.bad_value("--mode", mode_arg.c_str(),
+                    "search, search-large, runtime, energy, service, fleet, "
+                    "hetero or all");
   }
 
   std::size_t ran = 0;

@@ -5,19 +5,22 @@
 //
 // Usage: ./examples/hash_farm [batches] [benchmark]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "sim/simulate.hpp"
+#include "util/cli_flags.hpp"
 #include "util/histogram.hpp"
 #include "workloads/suite.hpp"
 
 using namespace eewa;
 
 int main(int argc, char** argv) {
-  const std::size_t batches =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 12;
-  const std::string bench_name = argc > 2 ? argv[2] : "SHA-1";
+  std::size_t batches = 12;
+  std::string bench_name = "SHA-1";
+  util::FlagParser args("hash_farm", argc, argv);
+  if (args.next()) batches = args.count("batches", args.arg());
+  if (args.next()) bench_name = args.arg();
+  if (args.next()) args.reject();
 
   const auto& bench = wl::find_benchmark(bench_name);
   const auto trace =

@@ -6,10 +6,10 @@
 //
 // Usage: ./examples/record_replay [batches]
 #include <cstdio>
-#include <cstdlib>
 
 #include "runtime/runtime.hpp"
 #include "sim/simulate.hpp"
+#include "util/cli_flags.hpp"
 #include "util/table_printer.hpp"
 #include "workloads/lzw.hpp"
 #include "workloads/data_gen.hpp"
@@ -19,7 +19,7 @@ using namespace eewa;
 
 namespace {
 
-std::vector<rt::TaskDesc> application_batch(int batch) {
+std::vector<rt::TaskDesc> application_batch(std::size_t batch) {
   // A mixed ingest pipeline: hash the large uploads, compress the rest.
   std::vector<rt::TaskDesc> tasks;
   const auto base = static_cast<std::uint64_t>(batch) * 7919;
@@ -41,7 +41,10 @@ std::vector<rt::TaskDesc> application_batch(int batch) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int batches = argc > 1 ? std::atoi(argv[1]) : 6;
+  std::size_t batches = 6;
+  util::FlagParser args("record_replay", argc, argv);
+  if (args.next()) batches = args.count("batches", args.arg());
+  if (args.next()) args.reject();
 
   // ---- 1. record on the real runtime --------------------------------
   rt::RuntimeOptions options;
@@ -49,7 +52,7 @@ int main(int argc, char** argv) {
   options.kind = rt::SchedulerKind::kCilk;  // record under plain stealing
   options.record_trace = true;
   rt::Runtime runtime(options);
-  for (int b = 0; b < batches; ++b) {
+  for (std::size_t b = 0; b < batches; ++b) {
     runtime.run_batch(application_batch(b));
   }
   const trace::TaskTrace recorded = runtime.recorded_trace();

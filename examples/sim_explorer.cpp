@@ -33,37 +33,30 @@ int main(int argc, char** argv) {
   bool metrics = false;
   std::string trace_out;
   dvfs::FaultSpec faults;
-  const util::FlagParser flags("sim_explorer");
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* const a = argv[i];
-    auto next = [&]() -> std::string {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (arg == "--benchmark") bench_name = next();
-    else if (arg == "--policy") policy_name = next();
-    else if (arg == "--cores") cores = flags.positive(a, next().c_str());
-    else if (arg == "--batches") batches = flags.count(a, next().c_str());
-    else if (arg == "--seed") seed = flags.count(a, next().c_str());
-    else if (arg == "--margin") margin = flags.real(a, next().c_str());
-    else if (arg == "--metrics") metrics = true;
-    else if (arg == "--trace-out") trace_out = next();
-    else if (arg == "--fail-p") {
-      faults.transient_failure_p = flags.real(a, next().c_str());
-    } else if (arg == "--drift-p") {
-      faults.drift_p = flags.real(a, next().c_str());
-    } else if (arg == "--stuck") {
+  util::FlagParser flags("sim_explorer", argc, argv);
+  while (flags.next()) {
+    if (flags.is("--benchmark")) bench_name = flags.text();
+    else if (flags.is("--policy")) policy_name = flags.text();
+    else if (flags.is("--cores")) cores = flags.positive();
+    else if (flags.is("--batches")) batches = flags.count();
+    else if (flags.is("--seed")) seed = flags.count();
+    else if (flags.is("--margin")) margin = flags.real();
+    else if (flags.is("--metrics")) metrics = true;
+    else if (flags.is("--trace-out")) trace_out = flags.text();
+    else if (flags.is("--fail-p")) faults.transient_failure_p = flags.real();
+    else if (flags.is("--drift-p")) faults.drift_p = flags.real();
+    else if (flags.is("--stuck")) {
       // Comma-separated core list, e.g. --stuck 0,3,7.
-      std::string list = next();
+      std::string list = flags.text();
       std::size_t pos = 0;
       while (pos < list.size()) {
         std::size_t end = list.find(',', pos);
         if (end == std::string::npos) end = list.size();
         faults.stuck_cores.push_back(
-            flags.count(a, list.substr(pos, end - pos).c_str()));
+            flags.count("--stuck", list.substr(pos, end - pos).c_str()));
         pos = end + 1;
       }
-    } else {
+    } else if (flags.is("--help")) {
       std::printf(
           "usage: sim_explorer [--benchmark B] [--policy P] [--cores N]\n"
           "                    [--batches N] [--seed N] [--margin X]\n"
@@ -72,7 +65,9 @@ int main(int argc, char** argv) {
           "benchmarks:");
       for (const auto& b : wl::suite()) std::printf(" %s", b.name.c_str());
       std::printf("\npolicies: cilk cilk-d sharing ondemand wats eewa\n");
-      return arg == "--help" ? 0 : 1;
+      return 0;
+    } else {
+      flags.reject();
     }
   }
 

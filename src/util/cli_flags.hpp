@@ -1,7 +1,18 @@
-// Validated numeric flag values for the command-line tools. A malformed
-// value prints "<tool>: <flag> expects <what>, got '<text>'" and exits
-// with status 2, where a bare std::stoul would abort on an uncaught
-// exception or wrap a negative count to a huge one.
+// The argv reader of the command-line tools. A tool walks its arguments
+// with a cursor:
+//
+//   util::FlagParser flags("bench_fleet", argc, argv);
+//   while (flags.next()) {
+//     if (flags.is("--machines")) cfg.machines = flags.positive();
+//     else if (flags.is("--out")) cfg.out = flags.text();
+//     else flags.reject();
+//   }
+//
+// A missing value, an unknown argument and a malformed value each print
+// one "<tool>: ..." line and exit with status 2, where a bare std::stoul
+// would abort on an uncaught exception or wrap a negative count to a huge
+// one. The two-argument forms check list items (--stuck 0,3,7) and
+// positional arguments the same way.
 #pragma once
 
 #include <cctype>
@@ -10,12 +21,39 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace eewa::util {
 
 class FlagParser {
  public:
-  explicit FlagParser(const char* tool) : tool_(tool) {}
+  FlagParser(const char* tool, int argc, const char* const* argv)
+      : tool_(tool), argc_(argc), argv_(argv) {}
+
+  /// Steps to the next argument; false once argv is used up.
+  bool next() {
+    if (++at_ >= argc_) return false;
+    arg_ = argv_[at_];
+    return true;
+  }
+  /// The argument under the cursor (the flag, while its value is read).
+  const char* arg() const { return arg_; }
+  bool is(const char* name) const { return std::strcmp(arg_, name) == 0; }
+  /// The value after the current flag.
+  const char* text() {
+    if (at_ + 1 >= argc_) {
+      std::fprintf(stderr, "%s: %s expects a value\n", tool_, arg_);
+      std::exit(2);
+    }
+    return argv_[++at_];
+  }
+  double real() { return real(arg_, text()); }
+  std::size_t count() { return count(arg_, text()); }
+  std::size_t positive() { return positive(arg_, text()); }
+  [[noreturn]] void reject() const {
+    std::fprintf(stderr, "%s: unknown argument '%s'\n", tool_, arg_);
+    std::exit(2);
+  }
 
   /// A finite, non-negative decimal.
   double real(const char* flag, const char* text) const {
@@ -36,6 +74,13 @@ class FlagParser {
   std::size_t positive(const char* flag, const char* text) const {
     return integer(flag, text, 1, "a positive integer");
   }
+  /// Rejects `text` as a value of `flag`, which expects `want`.
+  [[noreturn]] void bad_value(const char* flag, const char* text,
+                              const char* want) const {
+    std::fprintf(stderr, "%s: %s expects %s, got '%s'\n", tool_, flag, want,
+                 text);
+    std::exit(2);
+  }
 
  private:
   std::size_t integer(const char* flag, const char* text,
@@ -51,14 +96,12 @@ class FlagParser {
     }
     return static_cast<std::size_t>(v);
   }
-  [[noreturn]] void bad_value(const char* flag, const char* text,
-                              const char* want) const {
-    std::fprintf(stderr, "%s: %s expects %s, got '%s'\n", tool_, flag, want,
-                 text);
-    std::exit(2);
-  }
 
   const char* tool_;
+  int argc_;
+  const char* const* argv_;
+  int at_ = 0;  ///< argv_[0] is the program name
+  const char* arg_ = nullptr;
 };
 
 }  // namespace eewa::util

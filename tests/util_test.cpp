@@ -1,6 +1,6 @@
 // Unit tests for the util library: RNG determinism and distribution
 // sanity, streaming statistics, histograms, bit-level I/O, CSV and table
-// formatting.
+// formatting, and the command-line flag reader.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,10 +10,12 @@
 #include <functional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/aligned.hpp"
 #include "util/bit_io.hpp"
+#include "util/cli_flags.hpp"
 #include "util/cpu_affinity.hpp"
 #include "util/csv.hpp"
 #include "util/histogram.hpp"
@@ -506,6 +508,94 @@ TEST(ThreadPool, RejectsAbsurdThreadCounts) {
 TEST(Mix64, StatelessAndStable) {
   EXPECT_EQ(mix64(42), mix64(42));
   EXPECT_NE(mix64(42), mix64(43));
+}
+
+
+// ---------------------------------------------------------------------------
+// FlagParser. Every malformed command line exits 2 with one
+// "<tool>: ..." line on stderr; CI drives the same paths through the tools.
+
+// One tool's flag loop over `args` (argv[0] included).
+void parse_tool(std::vector<const char*> args) {
+  FlagParser flags("tool", static_cast<int>(args.size()), args.data());
+  while (flags.next()) {
+    if (flags.is("--count")) {
+      (void)flags.count();
+    } else if (flags.is("--real")) {
+      (void)flags.real();
+    } else if (flags.is("--out")) {
+      (void)flags.text();
+    } else {
+      flags.reject();
+    }
+  }
+}
+
+TEST(FlagParserDeathTest, NonNumericCountExits2) {
+  EXPECT_EXIT(parse_tool({"tool", "--count", "abc"}),
+              ::testing::ExitedWithCode(2),
+              "tool: --count expects a non-negative integer, got 'abc'");
+}
+
+TEST(FlagParserDeathTest, NegativeCountExits2) {
+  EXPECT_EXIT(parse_tool({"tool", "--count", "-3"}),
+              ::testing::ExitedWithCode(2),
+              "tool: --count expects a non-negative integer, got '-3'");
+}
+
+TEST(FlagParserDeathTest, NonFiniteRealExits2) {
+  EXPECT_EXIT(parse_tool({"tool", "--real", "nan"}),
+              ::testing::ExitedWithCode(2),
+              "tool: --real expects a finite non-negative number, got 'nan'");
+  EXPECT_EXIT(parse_tool({"tool", "--real", "inf"}),
+              ::testing::ExitedWithCode(2),
+              "tool: --real expects a finite non-negative number, got 'inf'");
+}
+
+TEST(FlagParserDeathTest, MissingValueAtEndExits2) {
+  EXPECT_EXIT(parse_tool({"tool", "--count", "1", "--out"}),
+              ::testing::ExitedWithCode(2), "tool: --out expects a value");
+}
+
+TEST(FlagParserDeathTest, UnknownFlagExits2) {
+  EXPECT_EXIT(parse_tool({"tool", "--count", "1", "--bogus"}),
+              ::testing::ExitedWithCode(2),
+              "tool: unknown argument '--bogus'");
+}
+
+TEST(FlagParser, ReadsFlagsListItemsAndPositionals) {
+  const std::vector<const char*> args = {
+      "tool", "--count", "7",  "--real", "2.5e-3",
+      "--on", "--stuck", "0,3", "12",    "SHA-1"};
+  FlagParser flags("tool", static_cast<int>(args.size()), args.data());
+  std::size_t count = 0;
+  double real = 0.0;
+  bool on = false;
+  std::vector<std::size_t> stuck;
+  std::vector<std::string> positionals;
+  while (flags.next()) {
+    if (flags.is("--count")) {
+      count = flags.positive();
+    } else if (flags.is("--real")) {
+      real = flags.real();
+    } else if (flags.is("--on")) {
+      on = true;
+    } else if (flags.is("--stuck")) {
+      const std::string list = flags.text();
+      EXPECT_STREQ(flags.arg(), "--stuck");  // still the flag
+      stuck.push_back(flags.count("--stuck", list.substr(0, 1).c_str()));
+      stuck.push_back(flags.count("--stuck", list.substr(2).c_str()));
+    } else {
+      positionals.push_back(flags.arg());
+    }
+  }
+  EXPECT_EQ(count, 7u);
+  EXPECT_EQ(real, 2.5e-3);
+  EXPECT_TRUE(on);
+  EXPECT_EQ(stuck, (std::vector<std::size_t>{0, 3}));
+  ASSERT_EQ(positionals.size(), 2u);
+  EXPECT_EQ(flags.count("batches", positionals[0].c_str()), 12u);
+  EXPECT_EQ(positionals[1], "SHA-1");
 }
 
 }  // namespace

@@ -1,67 +1,25 @@
 // Allocation-freedom checks for the fleet hot loop and the batch
-// boundary, via the same counting global allocator spawn_path_test
-// uses: the callable form of ArrivalStream::drain_until (the fleet's
-// router) never allocates, and once the reused buffers reach their
-// high-water capacity, an epoch's worth of the vector form must perform
-// zero heap allocations. The EEWA batch boundary (profile, CC table,
-// search, carve, preference lists, supervised actuation) plans without
-// allocating once the shapes repeat, and a simulated EEWA batch
-// (Machine::run_batch) allocates only to grow the retained rung history.
+// boundary, via the counting global allocator the allocation tests share
+// (counting_allocator.hpp): the callable form of
+// ArrivalStream::drain_until (the fleet's router) never allocates, and
+// once the reused buffers reach their high-water capacity, an epoch's
+// worth of the vector form must perform zero heap allocations. The EEWA
+// batch boundary (profile, CC table, search, carve, preference lists,
+// supervised actuation) plans without allocating once the shapes repeat,
+// and a simulated EEWA batch (Machine::run_batch) allocates only to grow
+// the retained rung history.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "core/eewa_controller.hpp"
+#include "counting_allocator.hpp"
 #include "sim/fleet.hpp"
 #include "sim/machine.hpp"
 #include "sim/policies.hpp"
 #include "trace/arrivals.hpp"
 #include "trace/synthetic.hpp"
-
-// ---------------------------------------------------------------------------
-// Counting global allocator (mirrors spawn_path_test): every scalar new
-// in this binary bumps a thread-local counter, so a test can measure the
-// allocations between two points on its own thread exactly.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-thread_local std::uint64_t tl_heap_allocs = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  ++tl_heap_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// std::stable_sort's temporary buffer (MachineTopology's row sort) comes
-// from the nothrow form: route it through the same counter and malloc,
-// or a sanitizer build pairs its own allocation with this free.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  try {
-    return ::operator new(size);
-  } catch (...) {
-    return nullptr;
-  }
-}
-// GCC 12 reports -Wmismatched-new-delete where these replacements call
-// std::free directly; with one out-of-line delete that the others
-// forward to, the binary builds clean.
-__attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept {
-  ::operator delete(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  ::operator delete(p);
-}
 
 namespace eewa {
 namespace {

@@ -8,47 +8,17 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/intern_table.hpp"
+#include "counting_allocator.hpp"
 #include "obs/service_metrics.hpp"
 #include "runtime/chase_lev_deque.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/task.hpp"
-
-// ---------------------------------------------------------------------------
-// Counting global allocator. Every scalar new in the binary bumps a global
-// and a thread-local counter; the thread-local one lets a worker-side task
-// measure exactly the allocations made on its own thread between two
-// points, unpolluted by the control thread's batch bookkeeping.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-thread_local std::uint64_t tl_heap_allocs = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  ++tl_heap_allocs;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// GCC 12 reports -Wmismatched-new-delete where these replacements call
-// std::free directly; with one out-of-line delete that the others
-// forward to, the binary builds clean.
-__attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept {
-  ::operator delete(p);
-}
 
 namespace eewa {
 namespace {

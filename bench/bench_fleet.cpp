@@ -73,6 +73,7 @@ struct Row {
   double serial_wall_s = 0.0;  ///< 0 when no serial reference ran
   double speedup = 0.0;        ///< serial_wall_s / wall_s, 0 when serial-only
   double tasks_per_sec = 0.0;  ///< simulated (offered) tasks per wall-second
+  sim::FleetPhaseTimes phases;  ///< of the headline run
 };
 
 trace::ArrivalSpec fleet_spec(const Config& cfg) {
@@ -204,8 +205,10 @@ int run(int argc, char** argv) {
                               std::chrono::steady_clock::now() - s0)
                               .count();
       opts.threads = cfg.threads;
+      sim::Fleet fleet(opts, arr);
       const auto w0 = std::chrono::steady_clock::now();
-      row.rep = sim::Fleet(opts, arr).run();
+      row.rep = fleet.run();
+      row.phases = fleet.phase_times();
       row.wall_s = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - w0)
                        .count();
@@ -221,8 +224,10 @@ int run(int argc, char** argv) {
                            std::to_string(cfg.min_speedup) + "x floor");
       }
     } else {
+      sim::Fleet fleet(opts, arr);
       const auto w0 = std::chrono::steady_clock::now();
-      row.rep = sim::Fleet(opts, arr).run();
+      row.rep = fleet.run();
+      row.phases = fleet.phase_times();
       row.wall_s = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - w0)
                        .count();
@@ -268,6 +273,18 @@ int run(int argc, char** argv) {
               row.rep.energy_j, row.wall_s, row.tasks_per_sec);
   }
   std::printf("%s\n", table.str().c_str());
+
+  // Host time per Fleet::run phase; routing includes generating the
+  // arrivals it drains.
+  util::TablePrinter phases({"placement", "view refresh (ms)",
+                             "drain+route (ms)", "machine step (ms)",
+                             "finish+merge (ms)"});
+  for (const auto& row : rows) {
+    phases.add(row.placement, row.phases.view_refresh_s * 1e3,
+               row.phases.route_s * 1e3, row.phases.step_s * 1e3,
+               row.phases.finish_s * 1e3);
+  }
+  std::printf("%s\n", phases.str().c_str());
   if (cfg.threads != 1) {
     for (const auto& row : rows) {
       std::printf(

@@ -1,20 +1,20 @@
 // The one path by which a bench writes its JSON report. The text is
 // re-parsed with the in-repo json_lite parser and its row array counted
 // before anything is written, so an artifact CI cannot parse fails the
-// bench instead of the consumer; the stream is checked after close, so a
-// failed write is not reported as a success.
+// bench instead of the consumer; util::write_file checks the stream after
+// close, so a failed write is not reported as a success.
 #pragma once
 
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <functional>
 #include <stdexcept>
 #include <string>
 
 #include "obs/json_lite.hpp"
+#include "util/write_file.hpp"
 
 namespace eewa::bench {
 
@@ -37,13 +37,7 @@ inline void write_report(
                  e.what());
     std::exit(1);
   }
-  std::ofstream out(path);
-  out << json;
-  out.close();
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
+  if (!util::write_file(path, json)) std::exit(1);
   std::printf("report: %s (validated with json_lite)\n", path.c_str());
 }
 

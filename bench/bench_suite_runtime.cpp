@@ -13,7 +13,6 @@
 // vs. cross-group robs, per-class exec-time stats); --trace-out attaches
 // an event tracer to the EEWA runs and writes chrome://tracing JSON.
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 
@@ -23,6 +22,7 @@
 #include "runtime/runtime.hpp"
 #include "util/cli_flags.hpp"
 #include "util/table_printer.hpp"
+#include "util/write_file.hpp"
 #include "workloads/suite.hpp"
 
 namespace {
@@ -131,12 +131,7 @@ int run(int argc, char** argv) {
   }
   std::printf("%s\n", table.str().c_str());
   if (tracer != nullptr) {
-    std::ofstream out(trace_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
-      return 1;
-    }
-    out << tracer->chrome_json();
+    if (!util::write_file(trace_out, tracer->chrome_json())) return 1;
     std::printf("trace: %zu events -> %s (%llu dropped)\n\n",
                 tracer->event_count(), trace_out.c_str(),
                 static_cast<unsigned long long>(tracer->dropped()));

@@ -5,7 +5,7 @@
 // oracle), a simulated workload (energy oracle) or an open-loop arrival
 // stream (service oracle), runs through the corresponding invariant
 // catalogue (see docs/testing.md), and prints one line per case. Exit
-// code 1 when any invariant fails.
+// code 1 when any invariant fails or the --out file cannot be written.
 //
 // Usage:
 //   fuzz_explorer [--mode search|search-large|runtime|energy|service|
@@ -19,17 +19,18 @@
 //               consecutive seeds from the base)
 //   --replay N  shorthand for --seed N --count 1 --verbose
 //   --shrink    on failure, bisect the spec to a minimal repro
-//   --out FILE  write failing seeds + shrunk repro to FILE (the CI
-//               artifact); only written on failure
+//   --out FILE  write the case count, then each failing seed and its
+//               shrunk repro, to FILE (the CI artifact). A failed
+//               write exits 1.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "testing/fuzz.hpp"
 #include "util/cli_flags.hpp"
+#include "util/write_file.hpp"
 
 using namespace eewa;
 
@@ -125,17 +126,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("%zu case%s, %zu failure%s\n", ran, ran == 1 ? "" : "s",
-              failures.size(), failures.size() == 1 ? "" : "s");
+  char summary[96];
+  std::snprintf(summary, sizeof summary, "%zu case%s, %zu failure%s\n", ran,
+                ran == 1 ? "" : "s", failures.size(),
+                failures.size() == 1 ? "" : "s");
+  std::fputs(summary, stdout);
 
-  if (!failures.empty() && !out_file.empty()) {
-    std::string report;
+  if (!out_file.empty()) {
+    std::string report = summary;
     for (const auto& v : failures) {
       describe_failure(report, v);
       report += "\n";
     }
-    std::ofstream out(out_file);
-    out << report;
+    if (!util::write_file(out_file, report)) return 1;
   }
   return failures.empty() ? 0 : 1;
 }

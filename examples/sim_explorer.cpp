@@ -12,13 +12,13 @@
 // (retries, reconciliations, degradations).
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 
 #include "obs/tracer.hpp"
 #include "sim/simulate.hpp"
 #include "util/cli_flags.hpp"
+#include "util/write_file.hpp"
 #include "workloads/suite.hpp"
 
 using namespace eewa;
@@ -137,12 +137,10 @@ int main(int argc, char** argv) {
   if (tracer != nullptr) {
     const bool csv = trace_out.size() > 4 &&
                      trace_out.compare(trace_out.size() - 4, 4, ".csv") == 0;
-    std::ofstream out(trace_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
+    if (!util::write_file(trace_out,
+                          csv ? tracer->csv() : tracer->chrome_json())) {
       return 1;
     }
-    out << (csv ? tracer->csv() : tracer->chrome_json());
     std::printf("  trace: %zu events -> %s (%llu dropped)\n",
                 tracer->event_count(), trace_out.c_str(),
                 static_cast<unsigned long long>(tracer->dropped()));

@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "util/fast_clock.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -236,6 +237,17 @@ obs::FleetReport Fleet::run() {
     }
   };
 
+  // Phase clocks: each lap() bills the ticks since the previous one to
+  // a phase, so the phases never overlap.
+  std::uint64_t refresh_ticks = 0, route_ticks = 0, step_ticks = 0,
+                finish_ticks = 0;
+  std::uint64_t lap_from = util::FastClock::ticks();
+  const auto lap = [&lap_from](std::uint64_t& phase) {
+    const std::uint64_t now = util::FastClock::ticks();
+    phase += now - lap_from;
+    lap_from = now;
+  };
+
   for (std::size_t e = 0; e < epochs; ++e) {
     const double t0 = static_cast<double>(e) * opts_.epoch_s;
     const double t1 = static_cast<double>(e + 1) * opts_.epoch_s;
@@ -253,6 +265,7 @@ obs::FleetReport Fleet::run() {
       v.backlog_s = s.parked ? 0.0 : std::max(0.0, s.busy_until - t0);
     }
     placement->begin_epoch(views);
+    lap(refresh_ticks);
 
     // Route this epoch's arrivals task by task as the stream generates
     // them (serial — placement state is inherently sequential, each
@@ -286,6 +299,7 @@ obs::FleetReport Fleet::run() {
         placement->update(pick, views);
       }
     });
+    lap(route_ticks);
 
     // Machine-epoch phase: batches and consolidation, data-parallel
     // across machines (the epoch barrier is parallel_for's return).
@@ -294,6 +308,7 @@ obs::FleetReport Fleet::run() {
     } else {
       for (std::size_t i = 0; i < M; ++i) step_machine(i, t0, t1);
     }
+    lap(step_ticks);
   }
 
   // Drain: the last batches may run past the final epoch boundary.
@@ -352,6 +367,11 @@ obs::FleetReport Fleet::run() {
     out.per_machine.push_back(std::move(s.rep));
   }
   out.in_flight = out.routed - out.completed;
+  lap(finish_ticks);
+  phases_.view_refresh_s = util::FastClock::to_seconds(refresh_ticks);
+  phases_.route_s = util::FastClock::to_seconds(route_ticks);
+  phases_.step_s = util::FastClock::to_seconds(step_ticks);
+  phases_.finish_s = util::FastClock::to_seconds(finish_ticks);
   return out;
 }
 

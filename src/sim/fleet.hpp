@@ -109,6 +109,21 @@ struct FleetOptions {
   std::size_t threads = 1;
 };
 
+/// Host wall time Fleet::run spent in each of its phases, summed over
+/// epochs (util::FastClock). It varies run to run, so it is kept on the
+/// Fleet, not in the bit-comparable FleetReport.
+struct FleetPhaseTimes {
+  /// Rebuilding the routing views and the placement index each epoch.
+  double view_refresh_s = 0.0;
+  /// Draining the arrival stream and routing each task: includes
+  /// generating the arrivals (trace::ArrivalStream) as they are drained.
+  double route_s = 0.0;
+  /// Machine epochs: staged batches, wakes and consolidation.
+  double step_s = 0.0;
+  /// Per-machine finalization and the serial merge into the report.
+  double finish_s = 0.0;
+};
+
 /// The fleet simulator. Single-shot: construct, run() once.
 class Fleet {
  public:
@@ -121,6 +136,9 @@ class Fleet {
   /// Run the whole stream to drain and return the report.
   obs::FleetReport run();
 
+  /// Where run() spent its host time (all zero before run()).
+  const FleetPhaseTimes& phase_times() const { return phases_; }
+
   /// The exact SimOptions machine `idx` runs with: the fleet's
   /// per-machine options plus the derived seed, keep_batch_stats off,
   /// and a fixed adjuster overhead when none was set. Exposed so the
@@ -132,6 +150,7 @@ class Fleet {
  private:
   FleetOptions opts_;
   trace::ArrivalSpec spec_;
+  FleetPhaseTimes phases_;
 };
 
 }  // namespace eewa::sim

@@ -33,20 +33,16 @@ std::vector<const energy::PowerModel*> per_core_models(
   return models;
 }
 
-}  // namespace
-
-Machine::Machine(const SimOptions& options)
-    : options_(options),
-      account_(options_.power, options.cores, per_core_models(options_)),
-      rng_(options.seed),
-      fault_rng_(options.faults.seed),
-      rung_(options.cores, 0),
-      pending_latency_s_(options.cores, 0.0),
-      charged_until_(options.cores, 0.0),
-      pools_(options.cores),
-      group_counts_(1, 0) {
+/// `options`, once its core count and tracer are checked: the first
+/// member initializer runs this, so a rejected machine allocates
+/// nothing.
+const SimOptions& validated(const SimOptions& options) {
   if (options.cores == 0) {
     throw std::invalid_argument("Machine: need at least one core");
+  }
+  if (options.cores > Machine::kMaxCores) {
+    throw std::invalid_argument(
+        "Machine: more cores than an event key can index");
   }
   if (options.tracer != nullptr &&
       options.tracer->track_count() < options.cores + 1) {
@@ -54,7 +50,21 @@ Machine::Machine(const SimOptions& options)
         "Machine: tracer needs cores + 1 tracks (one per core plus the "
         "control track)");
   }
+  return options;
 }
+
+}  // namespace
+
+Machine::Machine(const SimOptions& options)
+    : options_(validated(options)),
+      account_(options_.power, options.cores, per_core_models(options_)),
+      rng_(options.seed),
+      fault_rng_(options.faults.seed),
+      rung_(options.cores, 0),
+      pending_latency_s_(options.cores, 0.0),
+      charged_until_(options.cores, 0.0),
+      pools_(options.cores),
+      group_counts_(1, 0) {}
 
 struct Machine::NodeStore {
   std::vector<Node> nodes;  ///< free nodes chain through Node::next
@@ -312,8 +322,14 @@ void Machine::charge(std::size_t core, double from_s, double to_s,
 }
 
 struct Machine::BatchScratch {
+  /// Per core: when it went idle (-1 while it runs a task) and its
+  /// running task's execution time.
+  struct Core {
+    double idle_from;
+    double exec_s;
+  };
   std::vector<Ev> events;  // min-heap under std::greater<Ev>
-  std::vector<double> idle_from;
+  std::vector<Core> cores;
 };
 
 Machine::BatchScratch& Machine::batch_scratch() {
@@ -330,6 +346,10 @@ double Machine::run_batch(Policy& policy, const trace::Batch& batch,
     throw std::logic_error(
         "Machine: batch starts before the charged-through point (would "
         "re-bill an interval)");
+  }
+  if (batch.tasks.size() > kMaxBatchTasks) {
+    throw std::invalid_argument(
+        "Machine: more tasks in a batch than an event can index");
   }
   tasks_ = &batch.tasks;
   batch_steals_ = batch_probes_ = batch_transitions_ = 0;
@@ -349,16 +369,16 @@ double Machine::run_batch(Policy& policy, const trace::Batch& batch,
     events.push_back(ev);
     std::push_heap(events.begin(), events.end(), std::greater<Ev>{});
   };
-  std::vector<double>& idle_from = scratch.idle_from;
-  idle_from.assign(cores(), -1.0);
+  std::vector<BatchScratch::Core>& per_core = scratch.cores;
+  per_core.assign(cores(), BatchScratch::Core{-1.0, 0.0});
   std::size_t remaining = batch.tasks.size();
   double last_completion = start_s;
 
   // Tasks spawned mid-batch arrive as injection events.
   for (std::size_t i = 0; i < batch.tasks.size(); ++i) {
     if (batch.tasks[i].release_s > 0.0) {
-      push_event(Ev{start_s + batch.tasks[i].release_s, Ev::kInject, 0, i,
-                    0.0});
+      push_event(Ev::make(start_s + batch.tasks[i].release_s, Ev::kInject, 0,
+                          i));
     }
   }
 
@@ -388,11 +408,12 @@ double Machine::run_batch(Policy& policy, const trace::Batch& batch,
       const double dispatch = options_.dispatch_overhead_s;
       const double exec = exec_time_on(task(*got), core, rung_[core]);
       charge(core, t, t + dispatch + exec, rung_[core], /*active=*/true);
-      push_event(Ev{t + dispatch + exec, Ev::kComplete, core, *got, exec});
+      per_core[core].exec_s = exec;
+      push_event(Ev::make(t + dispatch + exec, Ev::kComplete, core, *got));
     } else {
-      idle_from[core] = t;
+      per_core[core].idle_from = t;
       if (pending_repoll_s_ > 0.0) {
-        push_event(Ev{t + pending_repoll_s_, Ev::kWake, core, 0, 0.0});
+        push_event(Ev::make(t + pending_repoll_s_, Ev::kWake, core, 0));
       }
     }
   };
@@ -410,7 +431,7 @@ double Machine::run_batch(Policy& policy, const trace::Batch& batch,
     if (remaining > 0) {
       kick(c, t);
     } else {
-      idle_from[c] = t;
+      per_core[c].idle_from = t;
     }
   }
 
@@ -430,42 +451,45 @@ double Machine::run_batch(Policy& policy, const trace::Batch& batch,
     const Ev ev = events.back();
     events.pop_back();
     sim_now_s_ = ev.t;
-    switch (ev.kind) {
-      case Ev::kComplete:
+    const std::size_t core = ev.core();
+    switch (ev.kind()) {
+      case Ev::kComplete: {
+        const double exec = per_core[core].exec_s;
         if (tr != nullptr && tr->enabled()) {
-          tr->task(ev.core, (ev.t - ev.exec_s) * 1e6, ev.exec_s * 1e6,
+          tr->task(core, (ev.t - exec) * 1e6, exec * 1e6,
                    static_cast<std::uint32_t>(task(ev.task).class_id),
-                   static_cast<std::uint32_t>(rung_[ev.core]),
+                   static_cast<std::uint32_t>(rung_[core]),
                    /*failed=*/false);
         }
-        policy.task_done(*this, ev.core, task(ev.task), ev.exec_s);
+        policy.task_done(*this, core, task(ev.task), exec);
         --remaining;
         ++total_completed_;
         last_completion = ev.t;
-        if (remaining > 0) kick(ev.core, ev.t);
-        else idle_from[ev.core] = ev.t;
+        if (remaining > 0) kick(core, ev.t);
+        else per_core[core].idle_from = ev.t;
         break;
+      }
       case Ev::kInject:
         policy.place_task(*this, ev.task);
         // A fresh task may unblock idle cores; wake them to re-probe.
         for (std::size_t c = 0; c < cores(); ++c) {
-          if (idle_from[c] >= 0.0) {
-            push_event(Ev{ev.t, Ev::kWake, c, 0, 0.0});
+          if (per_core[c].idle_from >= 0.0) {
+            push_event(Ev::make(ev.t, Ev::kWake, c, 0));
           }
         }
         break;
       case Ev::kWake: {
-        if (idle_from[ev.core] < 0.0) break;
+        if (per_core[core].idle_from < 0.0) break;
         // An injection can wake a core "before" it finished the failed
         // probe sweep that put it to sleep (idle_from > ev.t); the core
         // re-probes the moment it actually becomes idle, never earlier —
         // rewinding would re-bill probe time already charged.
-        const double wake_t = std::max(ev.t, idle_from[ev.core]);
+        const double wake_t = std::max(ev.t, per_core[core].idle_from);
         // Charge the idle spin up to the wake, then go hunting again.
-        charge(ev.core, idle_from[ev.core], wake_t, rung_[ev.core],
+        charge(core, per_core[core].idle_from, wake_t, rung_[core],
                /*active=*/!options_.idle_halt);
-        idle_from[ev.core] = -1.0;
-        kick(ev.core, wake_t);
+        per_core[core].idle_from = -1.0;
+        kick(core, wake_t);
         break;
       }
     }
@@ -483,8 +507,9 @@ double Machine::run_batch(Policy& policy, const trace::Batch& batch,
   }
   // Idle cores spun (or, with idle_halt, slept) until the barrier.
   for (std::size_t c = 0; c < cores(); ++c) {
-    if (idle_from[c] >= 0.0 && idle_from[c] < batch_busy_end) {
-      charge(c, idle_from[c], batch_busy_end, rung_[c],
+    const double idle_from = per_core[c].idle_from;
+    if (idle_from >= 0.0 && idle_from < batch_busy_end) {
+      charge(c, idle_from, batch_busy_end, rung_[c],
              /*active=*/!options_.idle_halt);
     }
   }

@@ -162,6 +162,15 @@ class Policy {
 /// (simulate() in simulate.hpp does this for a whole trace).
 class Machine {
  public:
+  /// Most cores a Machine simulates: a core index must fit the 30-bit
+  /// core field of an event key (see Ev below).
+  static constexpr std::size_t kMaxCores = std::size_t{1} << 30;
+  /// Most tasks one batch may hold: a task index must fit an event's
+  /// 32-bit task field.
+  static constexpr std::size_t kMaxBatchTasks = std::size_t{1} << 32;
+
+  /// Throws std::invalid_argument on 0 or more than kMaxCores cores and
+  /// on a tracer with too few tracks, before allocating anything.
   explicit Machine(const SimOptions& options);
   ~Machine();
   // The energy account refers to options_.power, and queued tasks live
@@ -286,6 +295,8 @@ class Machine {
 
   /// Run one batch starting at absolute sim time `start_s`; returns the
   /// absolute end time (barrier + policy overhead). Appends a BatchStats.
+  /// Throws std::invalid_argument on a batch of more than kMaxBatchTasks
+  /// tasks.
   double run_batch(Policy& policy, const trace::Batch& batch,
                    double start_s);
 
@@ -374,24 +385,46 @@ class Machine {
   void release_store();
 
   /// Discrete events: task completions, mid-batch task injections
-  /// (spawns), and wakeups of idle cores after an injection.
+  /// (spawns), and wakeups of idle cores after an injection. An event
+  /// is 16 bytes: its time, one key packing (kind, core) as
+  /// kind << kCoreBits | core, and the task index (kComplete/kInject;
+  /// 0 for kWake, and core is 0 for kInject). A completing task's
+  /// execution time is not carried: each core runs at most one task, so
+  /// it sits in a per-core scratch slot until the completion pops.
+  ///
+  /// The heap orders events by (t, kind, core), compared as (t, key):
+  /// the packed key sorts exactly as the (kind, core) pair, so every
+  /// comparison, and with it every heap move and the popped sequence,
+  /// is what an unpacked (t, kind, core) record gives. Among equal
+  /// times completions pop first, then injections, then wakes, so an
+  /// injection is placed before the cores it wakes re-probe.
   struct Ev {
-    enum Kind { kComplete, kInject, kWake };
+    enum Kind : std::uint32_t { kComplete, kInject, kWake };
+    static constexpr unsigned kCoreBits = 30;
     double t;
-    Kind kind;
-    std::size_t core;  // kComplete/kWake
-    TaskId task;       // kComplete/kInject
-    double exec_s;     // kComplete
+    std::uint32_t key;
+    std::uint32_t task;
+
+    static Ev make(double t, Kind kind, std::size_t core, TaskId task) {
+      return Ev{t, static_cast<std::uint32_t>(kind) << kCoreBits |
+                       static_cast<std::uint32_t>(core),
+                static_cast<std::uint32_t>(task)};
+    }
+    Kind kind() const { return static_cast<Kind>(key >> kCoreBits); }
+    std::size_t core() const { return key & ((1u << kCoreBits) - 1); }
     bool operator>(const Ev& o) const {
       if (t != o.t) return t > o.t;
-      if (kind != o.kind) return kind > o.kind;  // inject before wake
-      return core > o.core;
+      return key > o.key;
     }
   };
-  /// Per-thread storage of run_batch's event heap and idle marks: their
-  /// size grows with the batch, and one thread runs one batch at a time,
-  /// so one copy per thread serves every Machine it steps (a fleet of
-  /// machines costs one batch's worth, not one per machine).
+  static_assert(sizeof(Ev) == 16);
+  static_assert(kMaxCores == std::size_t{1} << Ev::kCoreBits);
+
+  /// Per-thread storage of run_batch's event heap, idle marks and
+  /// running tasks' execution times: their size grows with the batch,
+  /// and one thread runs one batch at a time, so one copy per thread
+  /// serves every Machine it steps (a fleet of machines costs one
+  /// batch's worth, not one per machine).
   struct BatchScratch;
   static BatchScratch& batch_scratch();
 

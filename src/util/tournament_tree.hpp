@@ -10,6 +10,16 @@
 // first-strictly-better linear scan returns. Slots can be disabled
 // (no key); a disabled slot never wins, and a tree with every slot
 // disabled reports no winner.
+//
+// Two updates return in O(1) without touching a node, because neither
+// can change one:
+//  - update() of the current winner with a key at least as good as its
+//    old one: the winner beat (or tied, from the left) every rival on
+//    its path with the old key, so it still does with the new one;
+//  - disable() of a slot that is already disabled.
+// The fleet's pack-and-park placement hits both on almost every routed
+// task (its packable tree re-keys the densest machine upward, its
+// sleeper tree disables a powered machine that was never a sleeper).
 #pragma once
 
 #include <cstddef>
@@ -19,7 +29,10 @@ namespace eewa::util {
 
 /// Compare is a strict "better than" predicate on keys: std::less for
 /// an argmin tree, std::greater for an argmax tree. Equal keys are
-/// "not better", which is what gives the lowest-index tie rule.
+/// "not better", which is what gives the lowest-index tie rule. It must
+/// be a strict weak order on the keys stored (no NaN in a double tree):
+/// the O(1) winner update relies on "no worse than the old key, which
+/// was no worse than every rival" implying "no worse than every rival".
 template <typename Key, typename Compare>
 class TournamentTree {
  public:
@@ -40,15 +53,20 @@ class TournamentTree {
 
   std::size_t size() const { return n_; }
 
-  /// Set slot i's key and enable it, then repair the path to the root.
+  /// Set slot i's key and enable it, then repair the path to the root
+  /// (nothing to repair when i is the winner and k is no worse).
   void update(std::size_t i, const Key& k) {
+    const bool keeps_winning = win_[1] == i && !cmp_(keys_[i], k);
     keys_[i] = k;
+    if (keeps_winning) return;
     enabled_[i] = 1;
     repair(i);
   }
 
-  /// Disable slot i (it holds no key and cannot win).
+  /// Disable slot i (it holds no key and cannot win); a no-op when it
+  /// is disabled already.
   void disable(std::size_t i) {
+    if (enabled_[i] == 0) return;
     enabled_[i] = 0;
     repair(i);
   }

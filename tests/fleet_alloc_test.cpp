@@ -7,10 +7,12 @@
 // batch boundary (profile, CC table, search, carve, preference lists,
 // supervised actuation) plans without allocating once the shapes repeat,
 // and a simulated EEWA batch (Machine::run_batch) allocates only to grow
-// the retained rung history.
+// the retained rung history. A Machine with more cores than its event
+// key can index is rejected before it allocates.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/eewa_controller.hpp"
@@ -277,6 +279,22 @@ TEST(BatchBoundaryAlloc, SimulatedEewaBatchesOnlyGrowTheRungHistory) {
                          << " batches";
   EXPECT_EQ(machine.total_completed(), trace.task_count());
   EXPECT_EQ(policy.planned_rungs().size(), trace.batches.size());
+}
+
+// One core past Machine::kMaxCores would need gigabytes of per-core
+// state, so the check must come before any of it: the one allocation
+// allowed is the exception's own message.
+TEST(MachineLimits, RejectsTooManyCoresBeforeAllocating) {
+  sim::SimOptions opts;
+  opts.cores = sim::Machine::kMaxCores + 1;
+  const std::uint64_t before = tl_heap_allocs;
+  EXPECT_THROW(sim::Machine{opts}, std::invalid_argument);
+  EXPECT_LE(tl_heap_allocs - before, 1u);
+  // A machine of 0 cores is rejected on the same path.
+  opts.cores = 0;
+  const std::uint64_t before_zero = tl_heap_allocs;
+  EXPECT_THROW(sim::Machine{opts}, std::invalid_argument);
+  EXPECT_LE(tl_heap_allocs - before_zero, 1u);
 }
 
 }  // namespace

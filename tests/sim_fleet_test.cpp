@@ -14,6 +14,7 @@
 #include "sim/fleet.hpp"
 #include "sim/simulate.hpp"
 #include "trace/arrivals.hpp"
+#include "util/fast_clock.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -58,6 +59,37 @@ TEST(Fleet, DeterministicReports) {
   arr2.seed = 2025;
   const auto c = Fleet(opts, arr2).run();
   EXPECT_FALSE(a == c);
+}
+
+// The phase timers are host time kept beside the report: reading them
+// leaves the report bit-identical to a run whose timers nobody read, and
+// the four phases, which never overlap, sum to no more than the run's
+// wall time.
+TEST(Fleet, PhaseTimesStayOutOfTheReport) {
+  auto opts = small_fleet();
+  opts.placement = "pack";
+  const auto arr = small_arrivals(16);
+  const auto unread = Fleet(opts, arr).run();
+  for (const std::size_t threads : {1u, 3u}) {
+    opts.threads = threads;
+    Fleet fleet(opts, arr);
+    const FleetPhaseTimes zero = fleet.phase_times();
+    EXPECT_EQ(zero.view_refresh_s + zero.route_s + zero.step_s +
+                  zero.finish_s,
+              0.0);
+    const std::uint64_t t0 = util::FastClock::ticks();
+    const auto rep = fleet.run();
+    const double wall_s = util::FastClock::seconds_since(t0);
+    const FleetPhaseTimes& p = fleet.phase_times();
+    EXPECT_TRUE(rep == unread) << "threads " << threads;
+    EXPECT_GT(p.view_refresh_s, 0.0);
+    EXPECT_GT(p.route_s, 0.0);
+    EXPECT_GT(p.step_s, 0.0);
+    EXPECT_GT(p.finish_s, 0.0);
+    EXPECT_LE(p.view_refresh_s + p.route_s + p.step_s + p.finish_s,
+              wall_s * (1.0 + 1e-12))
+        << "threads " << threads;
+  }
 }
 
 // Pinned-seed golden regression: integer ledgers exactly, energies to

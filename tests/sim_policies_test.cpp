@@ -290,40 +290,54 @@ std::size_t scan_pack(double fill_s, const std::vector<MachineView>& views) {
 // the reference scans on every call — same argmin/argmax, same
 // ties-to-lowest-index rule — under epoch-style churn: views
 // re-randomized per epoch (begin_epoch), then mutated pick-by-pick the
-// way Fleet::run stages work and starts wakes (update).
+// way Fleet::run stages work and starts wakes (update). Two regimes: a
+// mixed fleet (packing, opening sleepers and spilling), and a
+// spill-heavy one as on fleet-pack, where every machine is powered and
+// above the fill line, so pack-and-park always spills to the
+// least-loaded machine and re-keys that winner to an equal or worse key.
 TEST(FleetPlacement, IndexedModeMatchesLinearScan) {
   constexpr double kFill = 0.04;
-  for (const char* name : {"least-loaded", "pack"}) {
-    const bool pack = std::string(name) == "pack";
-    auto indexed = make_placement(name, kFill);
-    util::Xoshiro256 rng(11);
-    const std::size_t m = 23;  // not a power of two
-    std::vector<MachineView> views(m);
-    for (int epoch = 0; epoch < 40; ++epoch) {
-      for (auto& v : views) {
-        v.powered = rng.chance(0.7);
-        // Coarse grid => frequent exact ties, the risky case.
-        v.backlog_s = 0.01 * std::floor(rng.uniform() * 8.0);
-        v.sleep_state = v.powered ? 0 : (rng.uniform() < 0.5 ? 0 : 2);
-        v.wake_latency_s = v.powered ? 0.0 : 0.001 * (v.sleep_state + 1);
-        if (!v.powered) v.backlog_s = 0.0;
-      }
-      indexed->begin_epoch(views);
-      for (int task = 0; task < 64; ++task) {
-        const double work = rng.uniform() * 0.01;
-        const std::size_t a = indexed->place(work, views);
-        const std::size_t b =
-            pack ? scan_pack(kFill, views) : scan_least_loaded(views);
-        ASSERT_EQ(a, b) << name << " epoch " << epoch << " task " << task;
-        auto& v = views[a];
-        if (!v.powered) {
-          v.powered = true;
-          v.backlog_s += v.wake_latency_s;
-          v.wake_latency_s = 0.0;
-          v.sleep_state = 0;
+  for (const bool spill : {false, true}) {
+    for (const char* name : {"least-loaded", "pack"}) {
+      const bool pack = std::string(name) == "pack";
+      auto indexed = make_placement(name, kFill);
+      util::Xoshiro256 rng(11);
+      const std::size_t m = 23;  // not a power of two
+      std::vector<MachineView> views(m);
+      for (int epoch = 0; epoch < 40; ++epoch) {
+        for (auto& v : views) {
+          v.powered = spill || rng.chance(0.7);
+          // Coarse grid => frequent exact ties, the risky case.
+          v.backlog_s = 0.01 * std::floor(rng.uniform() * 8.0);
+          if (spill) v.backlog_s += kFill;
+          v.sleep_state = v.powered ? 0 : (rng.uniform() < 0.5 ? 0 : 2);
+          v.wake_latency_s = v.powered ? 0.0 : 0.001 * (v.sleep_state + 1);
+          if (!v.powered) v.backlog_s = 0.0;
         }
-        v.backlog_s += work / 4.0;
-        indexed->update(a, views);
+        indexed->begin_epoch(views);
+        for (int task = 0; task < 64; ++task) {
+          // Spilled work on the same grid, zero included, so the winner
+          // is re-keyed to equal keys and ties with its neighbours.
+          const double work = spill ? 0.04 * std::floor(rng.uniform() * 3.0)
+                                    : rng.uniform() * 0.01;
+          const std::size_t a = indexed->place(work, views);
+          const std::size_t b =
+              pack ? scan_pack(kFill, views) : scan_least_loaded(views);
+          ASSERT_EQ(a, b) << name << (spill ? " spill" : " mixed")
+                          << " epoch " << epoch << " task " << task;
+          if (spill) {
+            ASSERT_EQ(a, scan_least_loaded(views));
+          }
+          auto& v = views[a];
+          if (!v.powered) {
+            v.powered = true;
+            v.backlog_s += v.wake_latency_s;
+            v.wake_latency_s = 0.0;
+            v.sleep_state = 0;
+          }
+          v.backlog_s += work / 4.0;
+          indexed->update(a, views);
+        }
       }
     }
   }

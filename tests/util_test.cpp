@@ -428,30 +428,75 @@ TEST(TournamentTree, DisableRemovesFromContention) {
   EXPECT_EQ(t.winner(), 2u);
 }
 
-TEST(TournamentTree, MatchesLinearScanOnRandomChurn) {
-  using MinTree = TournamentTree<double, std::less<double>>;
-  MinTree t;
+// Random churn against a first-strictly-better linear scan, steered
+// into every O(1) case: the winner re-keyed to a better, an equal and a
+// worse key, ties with lower and higher indices, disabling a slot that
+// is already disabled, and a tree with every slot disabled.
+template <typename Compare>
+void churn_against_linear_scan(std::uint64_t seed) {
+  using Tree = TournamentTree<double, Compare>;
+  const Compare better;
+  Tree t;
   const std::size_t n = 37;  // deliberately not a power of two
   t.reset(n);
   std::vector<double> keys(n, 0.0);
   std::vector<char> on(n, 0);
-  Xoshiro256 rng(7);
-  for (int step = 0; step < 2000; ++step) {
-    const std::size_t i = static_cast<std::size_t>(rng.uniform() * n) % n;
-    if (on[i] && rng.chance(0.3)) {
-      t.disable(i);
-      on[i] = 0;
+  Xoshiro256 rng(seed);
+  const auto pick = [&] {
+    return static_cast<std::size_t>(rng.uniform() * n) % n;
+  };
+  const auto set = [&](std::size_t i, double k) {
+    keys[i] = k;
+    on[i] = 1;
+    t.update(i, k);
+  };
+  const auto off = [&](std::size_t i) {
+    on[i] = 0;
+    t.disable(i);
+  };
+  std::size_t fast_cases[6] = {};
+  for (int step = 0; step < 6000; ++step) {
+    const std::size_t w = t.winner();
+    const double op = rng.uniform();
+    if (w != Tree::kNone && op < 0.3) {
+      // Re-key the winner: better, equal or worse, each a third.
+      const double gain = 0.5 * std::floor(rng.uniform() * 3.0) - 0.5;
+      const double up = better(1.0, 0.0) ? 1.0 : -1.0;  // the better way
+      set(w, keys[w] + up * gain);
+      ++fast_cases[gain > 0.0 ? 0 : gain == 0.0 ? 1 : 2];
+    } else if (w != Tree::kNone && op < 0.4) {
+      // Tie the winner's key at another slot, below or above it.
+      const std::size_t i = pick();
+      if (i != w) ++fast_cases[i < w ? 3 : 4];
+      set(i, keys[w]);
+    } else if (op < 0.5) {
+      // Disable a slot, quite often one that is already disabled.
+      const std::size_t i = pick();
+      if (on[i] == 0) ++fast_cases[5];
+      off(i);
+    } else if (op < 0.505) {
+      for (std::size_t i = 0; i < n; ++i) off(i);
+      ASSERT_EQ(t.winner(), Tree::kNone) << "step " << step;
     } else {
-      keys[i] = rng.uniform() * 8.0;  // collisions likely: tie coverage
-      t.update(i, keys[i]);
-      on[i] = 1;
+      set(pick(), std::floor(rng.uniform() * 8.0));  // ties likely
     }
-    std::size_t best = MinTree::kNone;
+    std::size_t best = Tree::kNone;
     for (std::size_t j = 0; j < n; ++j) {
-      if (on[j] && (best == MinTree::kNone || keys[j] < keys[best])) best = j;
+      if (on[j] && (best == Tree::kNone || better(keys[j], keys[best]))) {
+        best = j;
+      }
     }
     ASSERT_EQ(t.winner(), best) << "step " << step;
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(t.contains(j), on[j] != 0) << "step " << step;
+    }
   }
+  for (const std::size_t hits : fast_cases) EXPECT_GT(hits, 20u);
+}
+
+TEST(TournamentTree, MatchesLinearScanOnRandomChurn) {
+  churn_against_linear_scan<std::less<double>>(7);
+  churn_against_linear_scan<std::greater<double>>(8);
 }
 
 TEST(ThreadPool, RunsEveryItemExactlyOnce) {

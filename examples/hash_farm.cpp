@@ -9,7 +9,6 @@
 
 #include "sim/simulate.hpp"
 #include "util/cli_flags.hpp"
-#include "util/histogram.hpp"
 #include "workloads/suite.hpp"
 
 using namespace eewa;
@@ -58,13 +57,11 @@ int main(int argc, char** argv) {
               res.time_s * 1e3, res.energy_j, res.cpu_energy_j);
 
   // Frequency residency view (core-seconds at each rung).
-  util::Histogram residency(0, static_cast<double>(res.rung_residency_s.size()),
-                            res.rung_residency_s.size());
+  std::printf("\ncore-seconds per frequency rung (F0 fastest):\n");
   for (std::size_t j = 0; j < res.rung_residency_s.size(); ++j) {
-    residency.add(static_cast<double>(j), res.rung_residency_s[j]);
+    std::printf("  F%zu %.1f GHz %10.3f\n", j, machine.ladder().ghz(j),
+                res.rung_residency_s[j]);
   }
-  std::printf("\ncore-seconds per frequency rung (F0 fastest):\n%s",
-              residency.ascii(30).c_str());
   std::printf("steals %zu, probes %zu, DVFS transitions %zu\n", res.steals,
               res.probes, res.transitions);
   return 0;

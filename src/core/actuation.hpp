@@ -1,7 +1,8 @@
-// Fault-tolerant DVFS actuation. EewaController::apply() fire-and-forgets
-// frequency writes, but Eq. 1 normalization and the CC table are only
-// valid when each core really runs at its assigned rung. The
-// ActuationSupervisor closes that loop: retry failed writes with
+// Fault-tolerant DVFS actuation. A frequency write can bounce or drift,
+// but Eq. 1 normalization and the CC table are only valid when each core
+// really runs at its assigned rung. The ActuationSupervisor closes that
+// loop (every EewaController actuation goes through it, via
+// apply_supervised() or degrade()): retry failed writes with
 // exponential backoff, read back the achieved rung of every core, and —
 // when a core cannot reach its target — reconcile the frequency plan so
 // c-groups, class allocation and preference lists describe the machine

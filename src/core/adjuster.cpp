@@ -73,27 +73,10 @@ void Adjuster::run(const std::vector<ClassProfile>& classes,
                       registry_class_count, options_.leftover, out.plan);
 }
 
-Adjustment Adjuster::adjust(std::vector<ClassProfile> classes,
-                            std::size_t registry_class_count,
-                            double ideal_time_s) const {
-  Adjustment out;
-  run(classes, registry_class_count, ideal_time_s, nullptr, out);
-  return out;
-}
-
 void Adjuster::adjust(const std::vector<ClassProfile>& classes,
                       std::size_t registry_class_count, double ideal_time_s,
                       Adjustment& out) const {
   run(classes, registry_class_count, ideal_time_s, nullptr, out);
-}
-
-Adjustment Adjuster::adjust_incremental(
-    std::vector<ClassProfile> classes, std::size_t registry_class_count,
-    double ideal_time_s,
-    const std::vector<std::size_t>& prefix_rungs) const {
-  Adjustment out;
-  run(classes, registry_class_count, ideal_time_s, &prefix_rungs, out);
-  return out;
 }
 
 void Adjuster::adjust_incremental(

@@ -62,17 +62,13 @@ class Adjuster {
   Adjuster(dvfs::FrequencyLadder ladder, std::size_t total_cores,
            AdjusterOptions options = {});
 
-  /// Run the full pipeline. `classes` must be sorted by descending mean
-  /// workload (TaskClassRegistry::iteration_profile() order);
-  /// `registry_class_count` sizes the class-id → group map;
-  /// `ideal_time_s` is the target iteration time T.
-  Adjustment adjust(std::vector<ClassProfile> classes,
-                    std::size_t registry_class_count,
-                    double ideal_time_s) const;
-
-  /// adjust() into `out`, reusing its table, search and plan storage:
-  /// the controller plans every batch through this form, and with the
-  /// descent searchers it allocates nothing once the shapes repeat.
+  /// Run the full pipeline into `out`. `classes` must be sorted by
+  /// descending mean workload (TaskClassRegistry::iteration_profile()
+  /// order); `registry_class_count` sizes the class-id → group map;
+  /// `ideal_time_s` is the target iteration time T. `out`'s table,
+  /// search and plan storage is reused: with the descent searchers the
+  /// controller's per-batch plan allocates nothing once the shapes
+  /// repeat.
   void adjust(const std::vector<ClassProfile>& classes,
               std::size_t registry_class_count, double ideal_time_s,
               Adjustment& out) const;
@@ -86,13 +82,6 @@ class Adjuster {
   /// finds nothing. The caller is responsible for only pinning classes
   /// whose profile is statistically unchanged; the result is optimal
   /// conditioned on that prefix.
-  Adjustment adjust_incremental(std::vector<ClassProfile> classes,
-                                std::size_t registry_class_count,
-                                double ideal_time_s,
-                                const std::vector<std::size_t>& prefix_rungs)
-      const;
-
-  /// adjust_incremental() into `out`, as the in-place adjust() does.
   void adjust_incremental(const std::vector<ClassProfile>& classes,
                           std::size_t registry_class_count,
                           double ideal_time_s,

@@ -270,19 +270,6 @@ std::size_t EewaController::group_of_class(std::size_t class_id) const {
   return plan_.layout.group_of_class(class_id);
 }
 
-std::size_t EewaController::apply(dvfs::DvfsBackend& backend) const {
-  std::size_t ok = 0;
-  for (const auto& g : plan_.layout.groups()) {
-    for (std::size_t c : g.cores) {
-      if (c < backend.core_count() &&
-          backend.set_frequency(c, g.freq_index)) {
-        ++ok;
-      }
-    }
-  }
-  return ok;
-}
-
 const ActuationOutcome& EewaController::apply_supervised(
     dvfs::DvfsBackend& backend) {
   const bool tracing = tracer_ != nullptr && tracer_->enabled();

@@ -156,11 +156,6 @@ class EewaController {
   /// Unknown/unplanned classes go to the fastest group (0).
   std::size_t group_of_class(std::size_t class_id) const;
 
-  /// Apply plan() to a DVFS backend; returns cores successfully set.
-  /// Raw fire-and-forget path — prefer apply_supervised() anywhere the
-  /// writes can fail.
-  std::size_t apply(dvfs::DvfsBackend& backend) const;
-
   /// Fault-tolerant actuation of plan(): retry each core's write with
   /// exponential backoff, read back achieved rungs, and on failure
   /// reconcile the plan (cores regroup by achieved rung, classes and

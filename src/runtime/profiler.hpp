@@ -36,7 +36,4 @@ class WorkerProfile {
   std::vector<TaskRecord> records_;
 };
 
-/// Merge all workers' records into one vector (batch-barrier step).
-std::vector<TaskRecord> merge_profiles(std::vector<WorkerProfile>& workers);
-
 }  // namespace eewa::rt

@@ -4,18 +4,6 @@
 
 namespace eewa::rt {
 
-const char* admission_policy_name(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kBlock:
-      return "block";
-    case AdmissionPolicy::kShedLowestSla:
-      return "shed-lowest-sla";
-    case AdmissionPolicy::kShedOldest:
-      return "shed-oldest";
-  }
-  return "unknown";
-}
-
 AdmissionController::AdmissionController(AdmissionPolicy policy,
                                          std::vector<std::size_t> class_sla,
                                          std::size_t high_watermark,

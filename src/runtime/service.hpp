@@ -39,8 +39,6 @@ enum class AdmissionPolicy {
   kShedOldest,
 };
 
-const char* admission_policy_name(AdmissionPolicy policy);
-
 /// Per-class service configuration. Classes must be declared before
 /// start_service so the planner and the admission controller never
 /// race the interner.

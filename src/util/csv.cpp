@@ -1,17 +1,6 @@
 #include "util/csv.hpp"
 
-#include <stdexcept>
-
 namespace eewa::util {
-
-CsvWriter::CsvWriter(const std::string& path) : to_file_(true) {
-  file_.open(path);
-  if (!file_) {
-    throw std::runtime_error("CsvWriter: cannot open " + path);
-  }
-}
-
-CsvWriter::CsvWriter() = default;
 
 std::string CsvWriter::escape(const std::string& cell) {
   if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
@@ -31,11 +20,7 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
     line += escape(cells[i]);
   }
   line += '\n';
-  if (to_file_) {
-    file_ << line;
-  } else {
-    buffer_ << line;
-  }
+  buffer_ << line;
   ++rows_;
 }
 

@@ -1,23 +1,18 @@
 // Minimal CSV writer for exporting experiment series (one file per figure).
+// Rows build in memory; a caller that saves them writes str() through
+// util::write_file, which checks the stream after close.
 #pragma once
 
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 namespace eewa::util {
 
-/// Streams rows of a CSV file. Values containing commas, quotes or newlines
-/// are quoted per RFC 4180.
+/// Builds rows of a CSV document in memory. Values containing commas,
+/// quotes or newlines are quoted per RFC 4180.
 class CsvWriter {
  public:
-  /// Open `path` for writing; throws std::runtime_error on failure.
-  explicit CsvWriter(const std::string& path);
-
-  /// Build rows in memory instead (use str() to retrieve).
-  CsvWriter();
-
   /// Write a full row of string cells.
   void row(const std::vector<std::string>& cells);
 
@@ -29,7 +24,7 @@ class CsvWriter {
     row(cells);
   }
 
-  /// In-memory contents (only meaningful for the default constructor).
+  /// The document so far.
   std::string str() const { return buffer_.str(); }
 
   /// Number of rows written.
@@ -46,9 +41,7 @@ class CsvWriter {
 
   static std::string escape(const std::string& cell);
 
-  std::ofstream file_;
   std::ostringstream buffer_;
-  bool to_file_ = false;
   std::size_t rows_ = 0;
 };
 

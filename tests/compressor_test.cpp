@@ -1,12 +1,10 @@
-// Tests for the full compressors (BWC, bzip2-style, DMC, LZW) and the
+// Tests for the full compressors (bzip2-style, DMC, LZW) and the
 // JPEG encoder: exact round trips for the lossless ones, PSNR and
 // quality monotonicity for JPEG, compression-ratio sanity, and malformed
 // input rejection.
 #include <gtest/gtest.h>
 
-#include "workloads/bwc.hpp"
 #include "workloads/bzip2ish.hpp"
-#include "workloads/container.hpp"
 #include "workloads/data_gen.hpp"
 #include "workloads/dmc.hpp"
 #include "workloads/jpeg_enc.hpp"
@@ -38,11 +36,6 @@ class LosslessRoundTrip : public ::testing::TestWithParam<LosslessCase> {
     return {};
   }
 };
-
-TEST_P(LosslessRoundTrip, Bwc) {
-  const auto data = input();
-  EXPECT_EQ(bwc_decompress_block(bwc_compress_block(data)), data);
-}
 
 TEST_P(LosslessRoundTrip, Bzip2ish) {
   const auto data = input();
@@ -82,11 +75,6 @@ TEST(Bzip2ish, CompressesTextWell) {
   const auto data = markov_text(32768, 11);
   const auto enc = bzip2ish_compress_block(data);
   EXPECT_LT(enc.size(), data.size() * 3 / 4);
-}
-
-TEST(Bwc, CompressesTextSomewhat) {
-  const auto data = markov_text(32768, 12);
-  EXPECT_LT(bwc_compress_block(data).size(), data.size() * 3 / 4);
 }
 
 TEST(Dmc, CompressesTextAndAdaptsModel) {
@@ -134,73 +122,6 @@ TEST(Lzw, DictionaryResetHandledOnHugeInput) {
 
 TEST(Lzw, MissingStopCodeThrows) {
   EXPECT_THROW(lzw_decompress({}), std::invalid_argument);
-}
-
-TEST(Bwc, TruncatedInputThrows) {
-  EXPECT_THROW(bwc_decompress_block({0, 0}), std::invalid_argument);
-  const auto enc = bwc_compress_block(markov_text(100, 17));
-  Bytes cut(enc.begin(), enc.begin() + static_cast<long>(enc.size() / 2));
-  EXPECT_THROW(bwc_decompress_block(cut), std::invalid_argument);
-}
-
-// ----------------------------------------------------------- container ----
-
-class ContainerRoundTrip
-    : public ::testing::TestWithParam<ContainerCodec> {};
-
-TEST_P(ContainerRoundTrip, MultiBlockInput) {
-  // Three and a half blocks at a 4 KiB block size.
-  const auto data = markov_text(14000, 31);
-  const auto packed = container_compress(data, GetParam(), 4096);
-  EXPECT_EQ(container_decompress(packed), data);
-}
-
-TEST_P(ContainerRoundTrip, EmptyInput) {
-  const Bytes empty;
-  const auto packed = container_compress(empty, GetParam());
-  EXPECT_EQ(container_decompress(packed), empty);
-}
-
-TEST_P(ContainerRoundTrip, ExactBlockMultiple) {
-  const auto data = skewed_bytes(8192, 32);
-  const auto packed = container_compress(data, GetParam(), 4096);
-  EXPECT_EQ(container_decompress(packed), data);
-}
-
-INSTANTIATE_TEST_SUITE_P(Codecs, ContainerRoundTrip,
-                         ::testing::Values(ContainerCodec::kBwc,
-                                           ContainerCodec::kBzip2ish,
-                                           ContainerCodec::kDmc,
-                                           ContainerCodec::kLzw),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case ContainerCodec::kBwc: return "bwc";
-                             case ContainerCodec::kBzip2ish: return "bzip2";
-                             case ContainerCodec::kDmc: return "dmc";
-                             case ContainerCodec::kLzw: return "lzw";
-                           }
-                           return "unknown";
-                         });
-
-TEST(Container, RejectsMalformedInput) {
-  EXPECT_THROW(container_decompress({1, 2, 3}), std::invalid_argument);
-  EXPECT_THROW(container_decompress({'E', 'E', 'W', 'C', 9, 0, 0, 0, 0}),
-               std::invalid_argument);  // unknown codec
-  auto packed =
-      container_compress(markov_text(5000, 33), ContainerCodec::kLzw, 2048);
-  packed.resize(packed.size() / 2);  // truncate a block
-  EXPECT_THROW(container_decompress(packed), std::invalid_argument);
-  EXPECT_THROW(
-      container_compress({1, 2, 3}, ContainerCodec::kLzw, 0),
-      std::invalid_argument);
-}
-
-TEST(Container, HeaderIdentifiesCodec) {
-  const auto data = markov_text(1000, 34);
-  const auto a = container_compress(data, ContainerCodec::kBwc);
-  const auto b = container_compress(data, ContainerCodec::kDmc);
-  EXPECT_EQ(a[4], 0);
-  EXPECT_EQ(b[4], 2);
 }
 
 // ---------------------------------------------------------------- JPEG ----
@@ -293,13 +214,6 @@ class GarbageFuzz : public ::testing::TestWithParam<std::uint64_t> {
   }
 };
 
-TEST_P(GarbageFuzz, BwcNeverCrashes) {
-  try {
-    (void)bwc_decompress_block(garbage());
-  } catch (const std::invalid_argument&) {
-  }
-}
-
 TEST_P(GarbageFuzz, Bzip2ishNeverCrashes) {
   try {
     (void)bzip2ish_decompress_block(garbage());
@@ -333,22 +247,6 @@ TEST_P(GarbageFuzz, JpegNeverCrashes) {
   }
   try {
     (void)jpeg_decode(data);
-  } catch (const std::invalid_argument&) {
-  }
-}
-
-TEST_P(GarbageFuzz, ContainerNeverCrashes) {
-  auto data = garbage();
-  if (data.size() >= 9) {
-    data[0] = 'E';
-    data[1] = 'E';
-    data[2] = 'W';
-    data[3] = 'C';
-    data[4] = static_cast<std::uint8_t>(GetParam() % 4);
-    data[5] = data[6] = 0;  // keep the block count small
-  }
-  try {
-    (void)container_decompress(data);
   } catch (const std::invalid_argument&) {
   }
 }

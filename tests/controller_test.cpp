@@ -22,7 +22,8 @@ TEST(Adjuster, FullPipelineProducesPlannedLayout) {
   // Low overall load: 16 tasks × 0.5 s of F0 work against T = 2 s needs
   // only 4 F0-cores, so the adjuster can downclock.
   std::vector<ClassProfile> classes = {{0, "f", 16, 0.5}};
-  const auto out = adj.adjust(classes, 1, 2.0);
+  Adjustment out;
+  adj.adjust(classes, 1, 2.0, out);
   EXPECT_TRUE(out.attempted);
   ASSERT_TRUE(out.search.found);
   ASSERT_TRUE(out.plan.planned);
@@ -33,7 +34,8 @@ TEST(Adjuster, FullPipelineProducesPlannedLayout) {
 
 TEST(Adjuster, EmptyProfileFallsBackToUniform) {
   Adjuster adj(kLadder, 8);
-  const auto out = adj.adjust({}, 0, 1.0);
+  Adjustment out;
+  adj.adjust({}, 0, 1.0, out);
   EXPECT_FALSE(out.attempted);
   EXPECT_FALSE(out.plan.planned);
   EXPECT_EQ(out.plan.layout.group_count(), 1u);
@@ -61,7 +63,8 @@ TEST(Adjuster, ExhaustiveOptionUsesModel) {
   opt.model = &model;
   Adjuster adj(kLadder, 16, opt);
   std::vector<ClassProfile> classes = {{0, "a", 8, 1.0}, {1, "b", 8, 0.25}};
-  const auto out = adj.adjust(classes, 2, 2.0);
+  Adjustment out;
+  adj.adjust(classes, 2, 2.0, out);
   ASSERT_TRUE(out.search.found);
   EXPECT_TRUE(tuple_is_valid(out.cc, out.search.tuple, 16));
   EXPECT_EQ(out.search.tuple, search_pruned(out.cc, 16, &model).tuple);
@@ -83,7 +86,8 @@ TEST(Adjuster, RejectsModelOverADifferentLadder) {
   const auto matching = energy::PowerModel::opteron8380_server();
   opt.model = &matching;
   Adjuster adj(kLadder, 16, opt);
-  const auto out = adj.adjust({{0, "a", 8, 1.0}, {1, "b", 8, 0.25}}, 2, 2.0);
+  Adjustment out;
+  adj.adjust({{0, "a", 8, 1.0}, {1, "b", 8, 0.25}}, 2, 2.0, out);
   EXPECT_TRUE(out.search.found);
 }
 
@@ -186,7 +190,9 @@ TEST(EewaController, AppliesPlanToBackend) {
   for (int i = 0; i < 16; ++i) ctrl.record_task(f, 0.25, 0);
   ctrl.end_batch(2.0);
   dvfs::TraceBackend backend(kLadder, 16);
-  EXPECT_EQ(ctrl.apply(backend), 16u);
+  const auto& out = ctrl.apply_supervised(backend);
+  EXPECT_TRUE(out.ok());
+  EXPECT_EQ(out.writes, 16u);
   // Backend rungs now match the plan layout.
   for (const auto& g : ctrl.plan().layout.groups()) {
     for (std::size_t c : g.cores) {

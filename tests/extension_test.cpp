@@ -10,7 +10,6 @@
 #include "core/adjuster.hpp"
 #include "core/classifier.hpp"
 #include "core/eewa_controller.hpp"
-#include "core/profile_io.hpp"
 #include "runtime/pmc.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/simulate.hpp"
@@ -160,47 +159,6 @@ TEST(TraceCsv, RejectsMalformedInput) {
   EXPECT_THROW(trace::TaskTrace::from_csv(
                    "batch,class,work_s,cmi,mem_alpha\n0,c,1.0\n"),
                std::invalid_argument);
-}
-
-TEST(ProfileIo, RoundTripsAndSorts) {
-  std::vector<core::ClassProfile> profile = {
-      {2, "light", 30, 0.1, 0.2, 0.0},
-      {0, "heavy", 5, 2.5, 3.0, 0.4},
-  };
-  const auto csv = core::profile_to_csv(profile);
-  const auto back = core::profile_from_csv(csv);
-  ASSERT_EQ(back.size(), 2u);
-  // Returned in adjuster order: heaviest first.
-  EXPECT_EQ(back[0].name, "heavy");
-  EXPECT_EQ(back[0].class_id, 0u);
-  EXPECT_EQ(back[0].count, 5u);
-  EXPECT_NEAR(back[0].mean_workload, 2.5, 1e-9);
-  EXPECT_NEAR(back[0].max_workload, 3.0, 1e-9);
-  EXPECT_NEAR(back[0].mean_alpha, 0.4, 1e-9);
-  EXPECT_EQ(back[1].name, "light");
-}
-
-TEST(ProfileIo, RejectsMalformedInput) {
-  EXPECT_THROW(core::profile_from_csv("junk"), std::invalid_argument);
-  EXPECT_THROW(core::profile_from_csv(
-                   "class_id,name,count,mean_workload,max_workload,"
-                   "mean_alpha\n0,c,notanumber,1,1,0\n"),
-               std::invalid_argument);
-}
-
-TEST(ProfileIo, SavedProfileDrivesTheAdjusterOffline) {
-  // The §IV-D offline-profiling path: profile once, plan later without
-  // re-running the measurement batch.
-  std::vector<core::ClassProfile> profile = {
-      {0, "heavy", 8, 0.5, 0.55, 0.0},
-      {1, "light", 40, 0.05, 0.06, 0.0},
-  };
-  const auto restored = core::profile_from_csv(core::profile_to_csv(profile));
-  core::Adjuster adjuster(kLadder, 16);
-  const auto out = adjuster.adjust(restored, 2, /*ideal_time_s=*/0.6);
-  ASSERT_TRUE(out.plan.planned);
-  const auto per_rung = out.plan.layout.cores_per_rung(kLadder.size());
-  EXPECT_LT(per_rung[0], 16u);  // the offline plan downclocks something
 }
 
 TEST(IdleHalt, CutsTailEnergyWithoutChangingTime) {

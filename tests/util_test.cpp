@@ -18,8 +18,6 @@
 #include "util/cli_flags.hpp"
 #include "util/cpu_affinity.hpp"
 #include "util/csv.hpp"
-#include "util/histogram.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table_printer.hpp"
@@ -246,32 +244,6 @@ TEST(PercentileSorted, Interpolates) {
   EXPECT_DOUBLE_EQ(percentile_sorted(v, 1.0), 10.0);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-1.0);   // underflow -> first bin
-  h.add(100.0);  // overflow -> last bin
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_DOUBLE_EQ(h.count(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(9), 2.0);
-  EXPECT_DOUBLE_EQ(h.total(), 4.0);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.5);
-}
-
-TEST(Histogram, WeightedAndAscii) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1.5, 3.0);
-  EXPECT_DOUBLE_EQ(h.count(1), 3.0);
-  EXPECT_NE(h.ascii().find('#'), std::string::npos);
-}
-
-TEST(Histogram, RejectsBadArguments) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(BitIo, RoundTripsVariousWidths) {
   BitWriter bw;
   bw.write(0b101, 3);
@@ -355,13 +327,6 @@ TEST(TablePrinter, AlignsColumns) {
 TEST(TablePrinter, FixedFormatsDecimals) {
   EXPECT_EQ(TablePrinter::fixed(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::fixed(2.0, 0), "2");
-}
-
-TEST(Logging, LevelGateWorks) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(old);
 }
 
 TEST(Aligned, CellsOccupyDistinctCacheLines) {
